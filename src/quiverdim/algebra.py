@@ -2,9 +2,11 @@
 
 The quotient has the relation-avoiding paths as a basis, so everything is
 word combinatorics: a path is zero exactly when some generator word occurs
-in it as a contiguous infix.  Admissibility (all long enough paths vanish)
-is decided on a forbidden-suffix automaton whose states are short nonzero
-windows; the algebra is finite-dimensional iff that automaton is acyclic.
+in it as a contiguous infix.  ``RelationIndex`` answers every such test by
+hashing the windows whose length is a relation length, instead of scanning
+the relations.  Admissibility (all long enough paths vanish) is decided on
+a forbidden-suffix automaton whose states are short nonzero windows; the
+algebra is finite-dimensional iff that automaton is acyclic.
 """
 
 from __future__ import annotations
@@ -27,9 +29,50 @@ class BasisCapExceeded(RuntimeError):
     """Path enumeration hit the safety cap."""
 
 
-def _contains_infix(word: tuple[str, ...], infix: tuple[str, ...]) -> bool:
-    k = len(infix)
-    return any(word[s : s + k] == infix for s in range(len(word) - k + 1))
+class RelationIndex:
+    """Generator words hashed for every zero test.
+
+    ``words`` is the set of words and ``lengths`` their distinct lengths in
+    ascending order, so an infix or suffix test looks up one window per
+    relation length and start instead of scanning the relations.  ``rests``
+    maps each nonempty proper prefix u of a relation r = u ++ v to the
+    remainders v.
+    """
+
+    def __init__(self, words: Iterable[tuple[str, ...]]):
+        self.words = frozenset(words)
+        self.lengths = tuple(sorted({len(w) for w in self.words}))
+        rests: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for w in self.words:
+            for cut in range(1, len(w)):
+                rests.setdefault(w[:cut], []).append(w[cut:])
+        self.rests = {u: tuple(vs) for u, vs in rests.items()}
+
+    def first_infix(
+        self, word: tuple[str, ...], shorter_than: Optional[int] = None
+    ) -> Optional[tuple[str, ...]]:
+        """The shortest, then leftmost, relation word occurring in ``word``.
+
+        Only relations shorter than ``shorter_than`` count if it is given.
+        """
+        words, n = self.words, len(word)
+        top = n if shorter_than is None else shorter_than - 1
+        for k in self.lengths:
+            if k > top:
+                return None
+            for s in range(n - k + 1):
+                if word[s : s + k] in words:
+                    return word[s : s + k]
+        return None
+
+    def has_suffix(self, word: tuple[str, ...]) -> bool:
+        words, n = self.words, len(word)
+        for k in self.lengths:
+            if k > n:
+                return False
+            if word[n - k :] in words:
+                return True
+        return False
 
 
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
@@ -40,19 +83,19 @@ def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
             raise NotAdmissibleError(
                 f"zero relation {p} has length {p.length}; relations must have length >= 2"
             )
-    kept = [
-        p
-        for p in unique
-        if not any(
-            q is not p and _contains_infix(p.word, q.word) for q in unique
-        )
-    ]
+    # Distinct paths of length >= 1 have distinct words (an arrow fixes its
+    # source), so a relation is redundant iff a shorter word occurs in it.
+    index = RelationIndex(p.word for p in unique)
+    kept = [p for p in unique if index.first_infix(p.word, shorter_than=p.length) is None]
     return RelationSet(tuple(kept))
 
 
 @dataclass(frozen=True)
 class RelationSet:
-    """A reduced set of zero-relation paths (no word an infix of another)."""
+    """A reduced set of zero-relation paths (no word an infix of another).
+
+    ``index`` is the ``RelationIndex`` of the generator words.
+    """
 
     generators: tuple[Path, ...]
 
@@ -64,12 +107,16 @@ class RelationSet:
                 raise NotAdmissibleError(
                     f"zero relation {g} has length {g.length}; relations must have length >= 2"
                 )
-        for i, w in enumerate(words):
-            for j, u in enumerate(words):
-                if i != j and _contains_infix(w, u):
-                    raise ValueError(
-                        f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(w)}"
-                    )
+        index = RelationIndex(words)
+        seen: set[tuple[str, ...]] = set()
+        for w in words:
+            u = w if w in seen else index.first_infix(w, shorter_than=len(w))
+            if u is not None:
+                raise ValueError(
+                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(w)}"
+                )
+            seen.add(w)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -169,7 +216,12 @@ class BasisIndex:
 class Algebra:
     """kQ modulo a reduced monomial ideal, with cached basis and automaton.
 
-    Immutable after construction; safe to share between threads.
+    ``successors`` memoises ``homology.chain_successors`` per generator path:
+    the chain graph belongs to the algebra, not to one module, so every
+    simple, ``pdim``, ``resolve`` and cycle search shares it.  Apart from
+    these caches the algebra is immutable after construction, and it stays
+    safe to share between threads: every cache entry is deterministic, so a
+    race only computes the same value twice.
     """
 
     def __init__(
@@ -186,13 +238,14 @@ class Algebra:
                 raise ValueError(f"relation {g} is not a path of the quiver")
         self.relations = relations
         self.basis_cap = basis_cap
-        self._gen_words = relations.words()
-        self.lmax = max((len(w) for w in self._gen_words), default=0)
+        self.index = relations.index
+        self.lmax = max(self.index.lengths, default=0)
+        self.successors: dict[Path, tuple[Path, ...]] = {}
 
     # -- zero tests ---------------------------------------------------------
 
     def is_zero_word(self, word: tuple[str, ...]) -> bool:
-        return any(_contains_infix(word, g) for g in self._gen_words)
+        return self.index.first_infix(word) is not None
 
     def is_zero_path(self, p: Path) -> bool:
         if not self.quiver.has_path(p):
@@ -201,10 +254,7 @@ class Algebra:
 
     def _kills_suffix(self, word: tuple[str, ...]) -> bool:
         """True if some generator is a suffix of ``word`` (new zero occurrence)."""
-        return any(
-            len(g) <= len(word) and word[len(word) - len(g) :] == g
-            for g in self._gen_words
-        )
+        return self.index.has_suffix(word)
 
     # -- admissibility ------------------------------------------------------
 
@@ -317,8 +367,8 @@ class Algebra:
 
     # -- truncated projectives ---------------------------------------------
 
-    def module_basis(self, spec: ModuleSpec) -> tuple[Path, ...]:
-        """Basis of M(i, S): paths from i whose first arrow is not killed."""
+    def check_module(self, spec: ModuleSpec) -> None:
+        """Raise ValueError unless ``spec`` kills only out-arrows of its vertex."""
         self.quiver._check_vertex(spec.vertex)
         out = {a.id for a in self.quiver.out_arrows(spec.vertex)}
         bad = spec.killed - out
@@ -326,6 +376,10 @@ class Algebra:
             raise ValueError(
                 f"killed set contains non-out-arrows of {spec.vertex}: {sorted(bad)}"
             )
+
+    def module_basis(self, spec: ModuleSpec) -> tuple[Path, ...]:
+        """Basis of M(i, S): paths from i whose first arrow is not killed."""
+        self.check_module(spec)
         return tuple(
             p
             for p in self.basis.by_source[spec.vertex]

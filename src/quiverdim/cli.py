@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import construct, homology, oracle, qh, qvfile, render
-from .algebra import Algebra, ModuleSpec, NotAdmissibleError
+from .algebra import Algebra, BasisCapExceeded, ModuleSpec, NotAdmissibleError
 from .homology import ExtNat, InfiniteResolutionError
 from .quiver import Quiver
 
@@ -59,17 +59,10 @@ def _load(path: str):
     return quiver, relations, digest
 
 
-def _algebra(quiver, relations) -> Algebra:
-    algebra = Algebra(quiver, relations)
-    adm = algebra.admissibility
-    if not adm.ok:
-        raise NotAdmissibleError(adm.reason)
-    return algebra
-
-
 def cmd_gldim(args) -> int:
     quiver, relations, digest = _load(args.file)
-    algebra = _algebra(quiver, relations)
+    algebra = Algebra(quiver, relations)
+    algebra.require_admissible()
     pdims = homology.pdims_of_simples(algebra)
     value = max(pdims.values(), default=0)
     if args.json:
@@ -90,7 +83,8 @@ def cmd_gldim(args) -> int:
 
 def cmd_resolve(args) -> int:
     quiver, relations, digest = _load(args.file)
-    algebra = _algebra(quiver, relations)
+    algebra = Algebra(quiver, relations)
+    algebra.require_admissible()
     spec = parse_module_spec(quiver, args.module)
     try:
         res = homology.resolve(algebra, spec, max_deg=args.max_deg)
@@ -226,7 +220,8 @@ def cmd_corollary(args) -> int:
 
 def cmd_check_sqh(args) -> int:
     quiver, relations, digest = _load(args.file)
-    algebra = _algebra(quiver, relations)
+    algebra = Algebra(quiver, relations)
+    algebra.require_admissible()
     report = qh.check_strongly_qh(algebra, p=args.field)
     if args.json:
         _emit_json(
@@ -325,7 +320,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     quiver, relations, digest = _load(args.file)
-    algebra = _algebra(quiver, relations)
+    algebra = Algebra(quiver, relations)
+    algebra.require_admissible()
     q = algebra.quiver
     max_deg = args.max_deg if args.max_deg is not None else 8
     fields = [args.field] if args.field else [2, oracle.DEFAULT_PRIME]
@@ -358,7 +354,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_render(args) -> int:
     quiver, relations, _ = _load(args.file)
-    algebra = _algebra(quiver, relations)
+    algebra = Algebra(quiver, relations)
+    algebra.require_admissible()
     if args.format != "dot":
         raise ValueError(f"unsupported format {args.format!r} (only 'dot')")
     spec = parse_module_spec(quiver, args.module)
@@ -420,7 +417,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (qvfile.QvParseError, NotAdmissibleError, ValueError, OSError) as exc:
+    except (
+        qvfile.QvParseError, NotAdmissibleError, ValueError, OSError, BasisCapExceeded
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,12 @@ nonzero completions of g to a zero path, and those completions depend on g
 alone.  Resolving M(i, S) therefore walks a transition graph on generator
 paths: level 1 holds the killed arrows, each later level the successors of
 the previous one.  A cycle reachable in that graph means infinite projective
-dimension; otherwise the walk terminates and yields exact Betti data.  The
+dimension; otherwise the walk terminates and yields exact Betti data.
+
+Only relations are consulted, never the path basis: zero tests and
+successors go through the algebra's ``RelationIndex``, and successors are
+memoised on the algebra, so the cost tracks the relation count and the
+chain-graph size, not the (possibly exponential) dimension.  The
 linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
@@ -51,23 +56,32 @@ class Resolution:
 def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
     """Minimal nonzero paths p with source target(g) making g.p zero.
 
-    Found by splitting each relation r = u ++ v with u a nonempty suffix of
-    word(g): then g.v contains r.  Candidates with another candidate as a
-    proper prefix are redundant and dropped; the survivors are exactly the
-    minimal generators of the kernel of P(target g) -> <g>.
+    Found from each relation r = u ++ v with u a nonempty suffix of word(g):
+    then g.v contains r.  The relation index maps every proper prefix u of a
+    relation to its remainders v, so only the suffixes of word(g) shorter
+    than the longest relation are looked up.  Candidates with another
+    candidate as a proper prefix are redundant and dropped; the survivors are
+    exactly the minimal generators of the kernel of P(target g) -> <g>.
+    The result is memoised on the algebra; the checks on ``g`` run every call.
     """
     if g.length < 1:
         raise ValueError("successors need a path of length >= 1")
     if algebra.is_zero_path(g):
         raise ValueError(f"{g} is zero in the algebra")
-    word = g.word
-    candidates: set[tuple[str, ...]] = set()
-    for rel in algebra.relations.words():
-        for cut in range(1, len(rel)):
-            u, v = rel[:cut], rel[cut:]
-            if len(u) <= len(word) and word[len(word) - len(u) :] == u:
-                if not algebra.is_zero_word(v):
-                    candidates.add(v)
+    cached = algebra.successors.get(g)
+    if cached is None:
+        cached = algebra.successors[g] = _successors(algebra, g)
+    return cached
+
+
+def _successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
+    word, rests = g.word, algebra.index.rests
+    candidates = {
+        v
+        for cut in range(1, min(len(word), algebra.lmax - 1) + 1)
+        for v in rests.get(word[-cut:], ())
+        if not algebra.is_zero_word(v)
+    }
     minimal = [
         v
         for v in candidates
@@ -82,7 +96,7 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
 
 
 def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
-    algebra.module_basis(spec)  # validates the killed set
+    algebra.check_module(spec)
     q = algebra.quiver
     return sorted(
         (q.path(spec.vertex, (aid,)) for aid in spec.killed), key=Path.sort_key
@@ -93,28 +107,16 @@ def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
     """A generator-path cycle reachable from ``starts``, or None."""
     color: dict[Path, int] = {}
     parent: dict[Path, Path] = {}
-    succ: dict[Path, tuple[Path, ...]] = {}
-
-    def successors(g: Path) -> tuple[Path, ...]:
-        if g not in succ:
-            succ[g] = chain_successors(algebra, g)
-        return succ[g]
-
     for s in starts:
         if color.get(s, 0):
             continue
-        stack: list[tuple[Path, Optional[int]]] = [(s, None)]
+        color[s] = 1
+        stack = [(s, iter(chain_successors(algebra, s)))]
         while stack:
-            node, idx = stack[-1]
-            if idx is None:
-                color[node] = 1
-                idx = 0
-            kids = successors(node)
-            advanced = False
-            while idx < len(kids):
-                child = kids[idx]
-                idx += 1
-                if color.get(child, 0) == 1:
+            node, kids = stack[-1]
+            for child in kids:
+                state = color.get(child, 0)
+                if state == 1:
                     chain = [node]
                     cur = node
                     while cur != child:
@@ -122,13 +124,12 @@ def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
                         chain.append(cur)
                     chain.reverse()  # child -> ... -> node, edge node -> child closes
                     return chain
-                if color.get(child, 0) == 0:
+                if state == 0:
                     parent[child] = node
-                    stack[-1] = (node, idx)
-                    stack.append((child, None))
-                    advanced = True
+                    color[child] = 1
+                    stack.append((child, iter(chain_successors(algebra, child))))
                     break
-            if not advanced:
+            else:
                 color[node] = 2
                 stack.pop()
     return None

@@ -6,7 +6,12 @@ import quiverdim as qd
 
 
 def complete_quiver(n: int, r: int = 1) -> qd.Quiver:
-    """Loopless quiver with r parallel arrows between every ordered pair."""
+    """Loopless quiver with r parallel arrows between every ordered pair.
+
+    Arrow ids are ``a{i}{j}`` below 10 vertices and ``a{i}_{j}`` from 10 on,
+    where plain concatenation would repeat ids (1 -> 11 and 11 -> 1).
+    """
+    sep = "_" if n >= 10 else ""
     arrows = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -14,7 +19,7 @@ def complete_quiver(n: int, r: int = 1) -> qd.Quiver:
                 continue
             for t in range(r):
                 suffix = "" if r == 1 else f"x{t}"
-                arrows.append(qd.Arrow(f"a{i}{j}{suffix}", i, j))
+                arrows.append(qd.Arrow(f"a{i}{sep}{j}{suffix}", i, j))
     return qd.Quiver(n, tuple(arrows))
 
 

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverdim as qd
 from quiverdim.algebra import ModuleSpec
@@ -205,3 +207,63 @@ def test_delta_gamma_composition_vectors(golden):
     )
     cv = golden.composition_vector(ModuleSpec.delta(q, 3))
     assert cv[3] == 1 and all(v >= 3 or c == 0 for v, c in cv.items())
+
+
+# -- relation index against a naive infix scan -------------------------------
+
+LOOPS = qd.Quiver(1, tuple(qd.Arrow(x, 1, 1) for x in "abc"))
+letters = st.sampled_from("abc")
+words = st.lists(letters, min_size=0, max_size=9).map(tuple)
+relation_words = st.lists(
+    st.lists(letters, min_size=2, max_size=4).map(tuple), max_size=8
+)
+
+
+def naive_contains(word, infix):
+    k = len(infix)
+    return any(word[s : s + k] == infix for s in range(len(word) - k + 1))
+
+
+def naive_successors(algebra, word):
+    """Split every relation r = u ++ v, keep v when u ends ``word``."""
+    rels = algebra.relations.words()
+    candidates = {
+        r[cut:]
+        for r in rels
+        for cut in range(1, len(r))
+        if cut <= len(word) and word[len(word) - cut :] == r[:cut]
+        and not any(naive_contains(r[cut:], x) for x in rels)
+    }
+    return sorted(
+        v for v in candidates if not any(u != v and v[: len(u)] == u for u in candidates)
+    )
+
+
+def loop_algebra(rels):
+    return qd.Algebra(LOOPS, [LOOPS.path(1, w) for w in rels])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rels=relation_words, word=words)
+def test_index_zero_tests_match_naive_scan(rels, word):
+    algebra = loop_algebra(rels)
+    kept = [
+        r for r in set(rels) if not any(x != r and naive_contains(r, x) for x in rels)
+    ]
+    assert sorted(algebra.relations.words()) == sorted(kept)
+    assert algebra.is_zero_word(word) == any(naive_contains(word, r) for r in kept)
+    assert algebra._kills_suffix(word) == any(
+        len(r) <= len(word) and word[len(word) - len(r) :] == r for r in kept
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rels=relation_words, word=words.filter(bool))
+def test_index_successors_match_relation_splits(rels, word):
+    algebra = loop_algebra(rels)
+    if algebra.is_zero_word(word):
+        return
+    g = LOOPS.path(1, word)
+    got = qd.chain_successors(algebra, g)
+    assert sorted(p.word for p in got) == naive_successors(algebra, word)
+    assert qd.chain_successors(algebra, g) == got  # memoised answer is the same

@@ -226,3 +226,34 @@ def test_resolution_pdim_accessor(golden):
     truncated = qd.resolve(golden, ModuleSpec.simple(golden.quiver, 1), max_deg=1)
     with pytest.raises(ValueError):
         truncated.pdim()
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_homology_never_builds_the_basis(n):
+    # K8 has 21,845 nonzero paths under the local-max ideal, far above the
+    # cap: pdim, resolve and gldim must work from the relations alone.
+    q = complete_quiver(n)
+    local_max = qd.Algebra(q, qd.local_max_ideal(q), basis_cap=1000)
+    chain = qd.Algebra(q, qd.chain_ideal(q, n), basis_cap=1000)
+    assert qd.gldim(local_max) == 2
+    assert qd.verify_local_max_resolution(local_max) == (True, [])
+    assert qd.gldim(chain) == n
+    assert qd.pdims_of_simples(chain) == {i: n + 1 - i for i in q.vertices()}
+    for i in q.vertices():
+        res = qd.resolve(chain, ModuleSpec.simple(q, i))
+        assert res.pdim() == n + 1 - i
+        assert res.betti[1] == {j: 1 for j in q.vertices() if j != i}
+    for algebra in (local_max, chain):
+        assert qd.pdims_of_simples(algebra) == {
+            i: qd.pdim(algebra, ModuleSpec.simple(q, i)) for i in q.vertices()
+        }
+        with pytest.raises(qd.BasisCapExceeded):
+            algebra.basis
+
+
+def test_homology_rejects_foreign_killed_arrows(golden):
+    spec = ModuleSpec(1, frozenset({"b"}))  # b starts at 2
+    with pytest.raises(ValueError, match="killed set contains non-out-arrows of 1"):
+        qd.pdim(golden, spec)
+    with pytest.raises(ValueError, match="killed set contains non-out-arrows of 1"):
+        qd.resolve(golden, spec)
