@@ -201,27 +201,20 @@ class BasisIndex:
     def __len__(self) -> int:
         return len(self.paths)
 
-    @cached_property
-    def dims_by_source(self) -> dict[int, int]:
-        return {v: len(self.by_source[v]) for v in self.quiver.vertices()}
-
-    def count(self, source: int, target: int, length: Optional[int] = None) -> int:
-        return sum(
-            1
-            for p in self.by_source[source]
-            if p.target == target and (length is None or p.length == length)
-        )
-
 
 class Algebra:
     """kQ modulo a reduced monomial ideal, with cached basis and automaton.
 
-    ``successors`` memoises ``homology.chain_successors`` per generator path:
-    the chain graph belongs to the algebra, not to one module, so every
-    simple, ``pdim``, ``resolve`` and cycle search shares it.  Apart from
-    these caches the algebra is immutable after construction, and it stays
-    safe to share between threads: every cache entry is deterministic, so a
-    race only computes the same value twice.
+    The chain graph of ``homology`` belongs to the algebra, not to one
+    module, so every simple, ``pdim``, ``resolve`` and cycle search shares
+    it.  ``successors`` memoises ``homology.chain_successors`` per generator
+    path.  ``depths`` holds the longest chain length from each path the walk
+    has finished; only paths that reach no cycle are ever finished, and the
+    length depends on the path and the relations alone, so a depth recorded
+    while resolving one module holds for every other.  Apart from these
+    caches the algebra is immutable after construction, and it stays safe to
+    share between threads: every cache entry is deterministic, so a race
+    only computes the same value twice.
     """
 
     def __init__(
@@ -241,6 +234,7 @@ class Algebra:
         self.index = relations.index
         self.lmax = max(self.index.lengths, default=0)
         self.successors: dict[Path, tuple[Path, ...]] = {}
+        self.depths: dict[Path, int] = {}
 
     # -- zero tests ---------------------------------------------------------
 
@@ -390,6 +384,3 @@ class Algebra:
         """Composition factor counts: basis paths of M(i, S) grouped by target."""
         counts = Counter(p.target for p in self.module_basis(spec))
         return {v: counts[v] for v in sorted(counts)}
-
-    def module_dim(self, spec: ModuleSpec) -> int:
-        return len(self.module_basis(spec))

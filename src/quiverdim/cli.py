@@ -27,40 +27,32 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+SHORTHANDS = {
+    "S": ModuleSpec.simple,
+    "P": ModuleSpec.projective,
+    "Delta": ModuleSpec.delta,
+    "Gamma": ModuleSpec.gamma,
+}
+
+
 def parse_module_spec(q: Quiver, text: str) -> ModuleSpec:
     parts = text.split(":")
     kind = parts[0]
     try:
-        if kind == "S" and len(parts) == 2:
-            return ModuleSpec.simple(q, int(parts[1]))
-        if kind == "P" and len(parts) == 2:
-            return ModuleSpec.projective(q, int(parts[1]))
-        if kind == "Delta" and len(parts) == 2:
-            return ModuleSpec.delta(q, int(parts[1]))
-        if kind == "Gamma" and len(parts) in (2, 3):
-            i = int(parts[1])
-            if len(parts) == 3:
-                m = int(parts[2])
-                if not (1 <= i < m <= q.n):
-                    raise ValueError(f"Gamma:{i}:{m} needs 1 <= i < m <= n")
-            return ModuleSpec.gamma(q, i)
+        if kind in SHORTHANDS and len(parts) == 2:
+            return SHORTHANDS[kind](q, int(parts[1]))
         if kind == "M" and len(parts) == 3:
             ids = [s for s in parts[2].split(",") if s]
             return ModuleSpec.of(q, int(parts[1]), ids)
     except ValueError as exc:
         raise ValueError(f"bad module spec {text!r}: {exc}") from None
     raise ValueError(
-        f"bad module spec {text!r}; use S:i, P:i, Delta:i, Gamma:i[:m] or M:i:a,b"
+        f"bad module spec {text!r}; use S:i, P:i, Delta:i, Gamma:i or M:i:a,b"
     )
 
 
-def _load(path: str):
-    quiver, relations, digest = qvfile.load(path)
-    return quiver, relations, digest
-
-
 def cmd_gldim(args) -> int:
-    quiver, relations, digest = _load(args.file)
+    quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
     pdims = homology.pdims_of_simples(algebra)
@@ -82,7 +74,7 @@ def cmd_gldim(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    quiver, relations, digest = _load(args.file)
+    quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
     spec = parse_module_spec(quiver, args.module)
@@ -129,7 +121,7 @@ def _embedding_json(emb) -> Optional[dict]:
 
 
 def cmd_construct(args) -> int:
-    quiver, _, digest = _load(args.file)
+    quiver, _, digest = qvfile.load(args.file)
     result = construct.achieve_gldim(quiver, args.target)
     if not result.ok:
         if args.json:
@@ -194,7 +186,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_corollary(args) -> int:
-    quiver, _, digest = _load(args.file)
+    quiver, _, digest = qvfile.load(args.file)
     ok, witness = construct.gldim2_achievable(quiver)
     payload = {
         "command": "corollary",
@@ -219,10 +211,10 @@ def cmd_corollary(args) -> int:
 
 
 def cmd_check_sqh(args) -> int:
-    quiver, relations, digest = _load(args.file)
+    quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
-    report = qh.check_strongly_qh(algebra, p=args.field)
+    report = qh.check_strongly_qh(algebra)
     if args.json:
         _emit_json(
             {
@@ -253,8 +245,20 @@ def cmd_check_sqh(args) -> int:
     return 0 if report.overall else 1
 
 
-def _verify_checks(algebra: Algebra, field: int, max_deg: int) -> list[dict]:
+def _engine_comparisons(algebra: Algebra, max_deg: int, p: int):
+    """Each S, Delta and Gamma module, named like ``Delta_2``, with its
+    chain and matrix resolutions and whether the two agree."""
     q = algebra.quiver
+    for label in ("S", "Delta", "Gamma"):
+        for i in q.vertices():
+            spec = SHORTHANDS[label](q, i)
+            chain = homology.resolve(algebra, spec, max_deg=max_deg)
+            matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
+            same = chain.betti == matrix.betti and chain.complete == matrix.complete
+            yield f"{label}_{i}", spec, chain, matrix, same
+
+
+def _verify_checks(algebra: Algebra, field: int, max_deg: int) -> list[dict]:
     checks: list[dict] = []
     adm = algebra.admissibility
     checks.append(
@@ -266,41 +270,31 @@ def _verify_checks(algebra: Algebra, field: int, max_deg: int) -> list[dict]:
     )
     if not adm.ok:
         return checks
-    for label, build in (
-        ("S", ModuleSpec.simple),
-        ("Delta", ModuleSpec.delta),
-        ("Gamma", ModuleSpec.gamma),
-    ):
-        for i in q.vertices():
-            spec = build(q, i)
-            chain = homology.resolve(algebra, spec, max_deg=max_deg)
-            matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=field)
-            same = chain.betti == matrix.betti and chain.complete == matrix.complete
+    for name, spec, chain, matrix, same in _engine_comparisons(algebra, max_deg, field):
+        checks.append(
+            {
+                "name": f"betti_match_{name}",
+                "ok": same,
+                "detail": "chain and matrix engines agree"
+                if same
+                else f"chain={chain} matrix={matrix}",
+            }
+        )
+        if chain.complete:
             checks.append(
                 {
-                    "name": f"betti_match_{label}_{i}",
-                    "ok": same,
-                    "detail": "chain and matrix engines agree"
-                    if same
-                    else f"chain={chain} matrix={matrix}",
+                    "name": f"euler_{name}",
+                    "ok": homology.check_euler_identity(algebra, spec, chain),
+                    "detail": "alternating sum matches composition vector",
                 }
             )
-            if chain.complete:
-                checks.append(
-                    {
-                        "name": f"euler_{label}_{i}",
-                        "ok": homology.check_euler_identity(algebra, spec, chain),
-                        "detail": "alternating sum matches composition vector",
-                    }
-                )
     return checks
 
 
 def cmd_verify(args) -> int:
-    quiver, relations, digest = _load(args.file)
+    quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
-    max_deg = args.max_deg if args.max_deg is not None else 8
-    checks = _verify_checks(algebra, args.field, max_deg)
+    checks = _verify_checks(algebra, args.field, args.max_deg)
     ok = all(c["ok"] for c in checks)
     if args.json:
         _emit_json(
@@ -319,27 +313,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    quiver, relations, digest = _load(args.file)
+    quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
-    q = algebra.quiver
-    max_deg = args.max_deg if args.max_deg is not None else 8
     fields = [args.field] if args.field else [2, oracle.DEFAULT_PRIME]
-    checks: list[dict] = []
-    for p in fields:
-        for label, build in (
-            ("S", ModuleSpec.simple),
-            ("Delta", ModuleSpec.delta),
-            ("Gamma", ModuleSpec.gamma),
-        ):
-            for i in q.vertices():
-                spec = build(q, i)
-                chain = homology.resolve(algebra, spec, max_deg=max_deg)
-                matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
-                same = chain.betti == matrix.betti and chain.complete == matrix.complete
-                checks.append(
-                    {"name": f"p{p}_{label}_{i}", "ok": same, "detail": ""}
-                )
+    checks = [
+        {"name": f"p{p}_{name}", "ok": same, "detail": ""}
+        for p in fields
+        for name, _, _, _, same in _engine_comparisons(algebra, args.max_deg, p)
+    ]
     ok = all(c["ok"] for c in checks)
     if args.json:
         _emit_json(
@@ -353,11 +335,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_render(args) -> int:
-    quiver, relations, _ = _load(args.file)
+    quiver, relations, _ = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
-    if args.format != "dot":
-        raise ValueError(f"unsupported format {args.format!r} (only 'dot')")
     spec = parse_module_spec(quiver, args.module)
     sys.stdout.write(render.module_quiver_dot(algebra, spec))
     return 0
@@ -381,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("resolve", cmd_resolve, help="minimal projective resolution (Betti data)")
-    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i[:m] | M:i:a,b")
+    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i | M:i:a,b")
     p.add_argument("--max-deg", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
@@ -393,22 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("check-sqh", cmd_check_sqh, help="strongly quasi-hereditary report")
-    p.add_argument("--field", type=int, default=oracle.DEFAULT_PRIME)
     p.add_argument("--json", action="store_true")
 
     p = add("verify", cmd_verify, help="cross-check both engines on this algebra")
     p.add_argument("--field", type=int, default=oracle.DEFAULT_PRIME)
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=int, default=8)
     p.add_argument("--json", action="store_true")
 
     p = add("oracle-check", cmd_oracle_check, help="Betti equality across engines and fields")
     p.add_argument("--field", type=int, default=None)
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=int, default=8)
     p.add_argument("--json", action="store_true")
 
     p = add("render", cmd_render, help="DOT diagram of a module quiver")
-    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i[:m] | M:i:a,b")
-    p.add_argument("--format", default="dot")
+    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i | M:i:a,b")
     return parser
 
 

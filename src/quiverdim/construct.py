@@ -153,7 +153,6 @@ class Certificate:
     embedding: Optional[Embedding]
     relabeling: Relabeling
     ideal: RelationSet
-    claimed_gldim: ExtNat
     verified_gldim: ExtNat
     pdims: dict[int, ExtNat]
 
@@ -203,7 +202,6 @@ def _certify(
         embedding=emb,
         relabeling=sigma,
         ideal=ideal,
-        claimed_gldim=target,
         verified_gldim=verified,
         pdims=pdims,
     )

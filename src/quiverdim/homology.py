@@ -4,20 +4,25 @@ For a monomial algebra the kernel of P(target g) -> <g> (right-multiplication
 onto the submodule generated by a nonzero path g) is generated by the minimal
 nonzero completions of g to a zero path, and those completions depend on g
 alone.  Resolving M(i, S) therefore walks a transition graph on generator
-paths: level 1 holds the killed arrows, each later level the successors of
-the previous one.  A cycle reachable in that graph means infinite projective
-dimension; otherwise the walk terminates and yields exact Betti data.
+paths, the chain graph: level 1 holds the killed arrows, each later level
+the successors of the previous one.  A cycle reachable in that graph means
+infinite projective dimension; otherwise the walk terminates and yields
+exact Betti data.
 
-Only relations are consulted, never the path basis: zero tests and
-successors go through the algebra's ``RelationIndex``, and successors are
-memoised on the algebra, so the cost tracks the relation count and the
-chain-graph size, not the (possibly exponential) dimension.  The
-linear-algebra engine in ``oracle`` recomputes all of this independently.
+One iterative depth-first walk, ``_find_cycle``, serves ``pdim``,
+``resolve`` and ``gldim``.  Every path it finishes reaches no cycle, so its
+longest chain length is memoised in ``Algebra.depths`` and later walks skip
+it.  Successors are memoised in ``Algebra.successors``, and a path is
+checked to be a nonzero path of length >= 1 only on a cache miss.  Only
+relations are consulted, never the path basis: the cost tracks the relation
+count and the chain-graph size, not the (possibly exponential) dimension.
+The linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -62,14 +67,15 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
     than the longest relation are looked up.  Candidates with another
     candidate as a proper prefix are redundant and dropped; the survivors are
     exactly the minimal generators of the kernel of P(target g) -> <g>.
-    The result is memoised on the algebra; the checks on ``g`` run every call.
+    The result is memoised on the algebra, and ``g`` is checked only on a
+    cache miss: every cached path passed those checks once.
     """
-    if g.length < 1:
-        raise ValueError("successors need a path of length >= 1")
-    if algebra.is_zero_path(g):
-        raise ValueError(f"{g} is zero in the algebra")
     cached = algebra.successors.get(g)
     if cached is None:
+        if g.length < 1:
+            raise ValueError("successors need a path of length >= 1")
+        if algebra.is_zero_path(g):
+            raise ValueError(f"{g} is zero in the algebra")
         cached = algebra.successors[g] = _successors(algebra, g)
     return cached
 
@@ -104,33 +110,35 @@ def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
 
 
 def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
-    """A generator-path cycle reachable from ``starts``, or None."""
-    color: dict[Path, int] = {}
-    parent: dict[Path, Path] = {}
+    """A generator-path cycle reachable from ``starts``, or None.
+
+    Depth-first in successor order.  The walk returns at the first edge back
+    to an open path (one still on the stack), so every path it finishes
+    reaches no cycle; its longest chain length goes into ``algebra.depths``
+    and later walks skip it.  Skipped paths reach no open path either, so
+    the cycle reported does not depend on what earlier walks memoised.
+    """
+    depths = algebra.depths
     for s in starts:
-        if color.get(s, 0):
+        if s in depths:
             continue
-        color[s] = 1
-        stack = [(s, iter(chain_successors(algebra, s)))]
+        kids = chain_successors(algebra, s)
+        stack = [(s, kids, iter(kids))]
+        open_at = {s: 0}
         while stack:
-            node, kids = stack[-1]
-            for child in kids:
-                state = color.get(child, 0)
-                if state == 1:
-                    chain = [node]
-                    cur = node
-                    while cur != child:
-                        cur = parent[cur]
-                        chain.append(cur)
-                    chain.reverse()  # child -> ... -> node, edge node -> child closes
-                    return chain
-                if state == 0:
-                    parent[child] = node
-                    color[child] = 1
-                    stack.append((child, iter(chain_successors(algebra, child))))
+            node, kids, todo = stack[-1]
+            for child in todo:
+                if child in open_at:
+                    # child -> ... -> node, and the edge node -> child closes it
+                    return [frame[0] for frame in stack[open_at[child] :]]
+                if child not in depths:
+                    grand = chain_successors(algebra, child)
+                    open_at[child] = len(stack)
+                    stack.append((child, grand, iter(grand)))
                     break
             else:
-                color[node] = 2
+                depths[node] = 1 + max((depths[k] for k in kids), default=-1)
+                del open_at[node]
                 stack.pop()
     return None
 
@@ -151,19 +159,20 @@ def resolve(
         if cycle is not None:
             raise InfiniteResolutionError(cycle)
     betti: list[dict[int, int]] = [{spec.vertex: 1}]
+    paths = Counter(level)  # generator path -> multiplicity in this degree
     degree = 0
-    while level:
+    while paths:
         degree += 1
         if max_deg is not None and degree > max_deg:
             return Resolution(tuple(betti), complete=False)
-        counts: dict[int, int] = {}
-        for g in level:
-            counts[g.target] = counts.get(g.target, 0) + 1
+        counts: Counter[int] = Counter()
+        nxt: Counter[Path] = Counter()
+        for g, mult in paths.items():
+            counts[g.target] += mult
+            for k in chain_successors(algebra, g):
+                nxt[k] += mult
         betti.append({v: counts[v] for v in sorted(counts)})
-        nxt: list[Path] = []
-        for g in level:
-            nxt.extend(chain_successors(algebra, g))
-        level = sorted(nxt, key=Path.sort_key)
+        paths = nxt
     return Resolution(tuple(betti), complete=True)
 
 
@@ -175,16 +184,7 @@ def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
         return 0
     if _find_cycle(algebra, starts) is not None:
         return INFINITE
-    depth: dict[Path, int] = {}
-
-    def longest(g: Path) -> int:
-        # reachable subgraph is acyclic here, so plain memoized recursion
-        if g not in depth:
-            kids = chain_successors(algebra, g)
-            depth[g] = 0 if not kids else 1 + max(longest(k) for k in kids)
-        return depth[g]
-
-    return 1 + max(longest(g) for g in starts)
+    return 1 + max(algebra.depths[g] for g in starts)
 
 
 def pdims_of_simples(algebra: Algebra) -> dict[int, ExtNat]:

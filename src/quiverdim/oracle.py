@@ -98,11 +98,6 @@ class Rep:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def act_along(self, x: np.ndarray, word: tuple[str, ...]) -> np.ndarray:
-        for arrow_id in word:
-            x = (self.action[arrow_id] @ x) % self.p
-        return x
-
 
 def rep_of(algebra: Algebra, spec: ModuleSpec, p: int = DEFAULT_PRIME) -> Rep:
     """M(i, S) on its path basis: an arrow acts by appending itself."""
@@ -187,16 +182,6 @@ def _sub_rep(parent: Rep, bases: dict[int, tuple[np.ndarray, list[int]]]) -> Rep
     return Rep(parent.quiver, parent.p, dims, action)
 
 
-def radical_and_top(rep: Rep) -> tuple[Rep, dict[int, int]]:
-    rad = _radical(rep)
-    top = {}
-    for v in sorted(rep.dims):
-        t = rep.dims[v] - len(rad[v][1])
-        if t:
-            top[v] = t
-    return _sub_rep(rep, rad), top
-
-
 def _top_lifts(rep: Rep) -> dict[int, list[np.ndarray]]:
     """Standard basis vectors completing the radical to the whole fiber."""
     rad = _radical(rep)
@@ -272,9 +257,3 @@ def minimal_resolution(
         betti.append(top_dims(current))
         current = syzygy(algebra, current)
     return Resolution(tuple(betti), complete=current.total_dim == 0)
-
-
-def hom_dim(algebra: Algebra, from_projective: int, rep: Rep) -> int:
-    """dim Hom(P(j), M) = dim of M at j (evaluation at the generator)."""
-    algebra.quiver._check_vertex(from_projective)
-    return rep.dims[from_projective]

@@ -153,7 +153,7 @@ def test_achieve_gldim_complete6_targets():
         res = construct.achieve_gldim(q, target)
         assert res.ok, (target, res.attempts)
         cert = res.certificate
-        assert cert.verified_gldim == target == cert.claimed_gldim
+        assert cert.verified_gldim == target
         assert max((g.length for g in cert.ideal), default=0) <= 3
         assert max(cert.pdims.values()) == target
 

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quiverdim as qd
 from quiverdim import homology
@@ -257,3 +259,77 @@ def test_homology_rejects_foreign_killed_arrows(golden):
         qd.pdim(golden, spec)
     with pytest.raises(ValueError, match="killed set contains non-out-arrows of 1"):
         qd.resolve(golden, spec)
+
+
+def test_long_line_does_not_recurse():
+    # a recursive longest-path search overflows the stack from about 340 vertices
+    algebra = chain_algebra(2000)
+    q = algebra.quiver
+    assert qd.gldim(algebra) == 1999
+    assert qd.pdim(algebra, ModuleSpec.simple(q, 1)) == 1999
+    res = qd.resolve(algebra, ModuleSpec.simple(q, 1))
+    assert res.complete
+    assert res.betti == tuple({d + 1: 1} for d in range(2000))
+
+
+# -- the shared chain-graph memo ----------------------------------------------
+
+
+@st.composite
+def monomial_algebras(draw):
+    """Random quivers, loops and cycles allowed, with random monomial
+    relations drawn as walks of length 2-4; only admissible ones are kept."""
+    n = draw(st.integers(1, 4))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = draw(st.lists(ends, min_size=1, max_size=7))
+    q = qd.Quiver(n, tuple(qd.Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(pairs)))
+    relations = []
+    for _ in range(draw(st.integers(0, 8))):
+        arrow = draw(st.sampled_from(q.arrows))
+        word = [arrow.id]
+        for _ in range(draw(st.integers(1, 3))):
+            outs = q.out_arrows(arrow.target)
+            if not outs:
+                break
+            arrow = draw(st.sampled_from(outs))
+            word.append(arrow.id)
+        if len(word) >= 2:
+            relations.append(q.path(q.arrow(word[0]).source, tuple(word)))
+    algebra = qd.Algebra(q, relations)
+    assume(algebra.admissibility.ok)
+    return algebra
+
+
+def standard_specs(q):
+    return [
+        build(q, i)
+        for build in (ModuleSpec.simple, ModuleSpec.delta, ModuleSpec.gamma)
+        for i in q.vertices()
+    ]
+
+
+def cold(algebra):
+    return qd.Algebra(algebra.quiver, algebra.relations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra=monomial_algebras(), data=st.data())
+def test_shared_memo_matches_fresh_algebras(algebra, data):
+    q = algebra.quiver
+    specs = data.draw(st.permutations(standard_specs(q)))
+    for spec in specs:
+        assert qd.pdim(algebra, spec) == qd.pdim(cold(algebra), spec), spec
+    warm = cold(algebra)
+    qd.pdims_of_simples(warm)
+    for spec in specs:
+        if qd.pdim(warm, spec) != math.inf:
+            continue
+        cycles = []
+        for target in (warm, cold(algebra)):
+            with pytest.raises(qd.InfiniteResolutionError) as exc:
+                qd.resolve(target, spec)
+            cycles.append(exc.value.cycle)
+        assert cycles[0] == cycles[1]
+        cycle = cycles[0]
+        for g, h in zip(cycle, cycle[1:] + cycle[:1]):
+            assert h in qd.chain_successors(warm, g)

@@ -68,13 +68,6 @@ def test_radical_and_top(complete4_algebra):
     for i in q.vertices():
         rep = oracle.rep_of(complete4_algebra, ModuleSpec.projective(q, i))
         assert oracle.top_dims(rep) == {i: 1}
-    rep1 = oracle.rep_of(complete4_algebra, ModuleSpec.projective(q, 1))
-    rad, top = oracle.radical_and_top(rep1)
-    assert top == {1: 1}
-    assert oracle.top_dims(rad) == {2: 1, 3: 1, 4: 1}
-    simple = oracle.rep_of(complete4_algebra, ModuleSpec.simple(q, 2))
-    rad_s, _ = oracle.radical_and_top(simple)
-    assert rad_s.total_dim == 0
 
 
 def test_syzygy_of_projective_vanishes(golden):
@@ -131,25 +124,6 @@ def test_engines_agree_random_suite_two_fields():
                 res101 = oracle.minimal_resolution(algebra, spec, 8, p=101)
                 assert chain.betti == res2.betti == res101.betti
                 assert chain.complete == res2.complete == res101.complete
-
-
-def test_hom_dim_examples(complete4_algebra):
-    q = complete4_algebra.quiver
-    rep = oracle.rep_of(complete4_algebra, ModuleSpec.projective(q, 1))
-    assert oracle.hom_dim(complete4_algebra, 4, rep) == 4
-    for i in q.vertices():
-        srep = oracle.rep_of(complete4_algebra, ModuleSpec.simple(q, i))
-        assert oracle.hom_dim(complete4_algebra, i, srep) == 1
-    with pytest.raises(ValueError):
-        oracle.hom_dim(complete4_algebra, 9, rep)
-
-
-def test_hom_delta_criterion(golden):
-    q = golden.quiver
-    for i in q.vertices():
-        rep = oracle.rep_of(golden, ModuleSpec.delta(q, i))
-        for j in range(1, i + 1):
-            assert oracle.hom_dim(golden, j, rep) == (1 if j == i else 0)
 
 
 def test_field_validation(golden):
