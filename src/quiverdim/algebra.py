@@ -6,7 +6,10 @@ in it as a contiguous infix.  ``RelationIndex`` answers every such test by
 hashing the windows whose length is a relation length, instead of scanning
 the relations.  Admissibility (all long enough paths vanish) is decided on
 a forbidden-suffix automaton whose states are short nonzero windows; the
-algebra is finite-dimensional iff that automaton is acyclic.
+algebra is finite-dimensional iff that automaton is acyclic.  The search is
+``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
+returns a cycle of states, read back as a witness path, or the longest path
+of every state, which gives the nilpotency bound.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, find_cycle
 
 DEFAULT_BASIS_CAP = 1_000_000
 
@@ -78,13 +81,10 @@ class RelationIndex:
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
     """Drop every relation containing another one as an infix; reject short ones."""
     unique = sorted(set(paths), key=Path.sort_key)
-    for p in unique:
-        if p.length < 2:
-            raise NotAdmissibleError(
-                f"zero relation {p} has length {p.length}; relations must have length >= 2"
-            )
     # Distinct paths of length >= 1 have distinct words (an arrow fixes its
-    # source), so a relation is redundant iff a shorter word occurs in it.
+    # source), so one is redundant iff a shorter word occurs in it.  Only a
+    # trivial path is shorter than an arrow, so the first path of length < 2
+    # is kept, and ``RelationSet`` rejects it.
     index = RelationIndex(p.word for p in unique)
     kept = [p for p in unique if index.first_infix(p.word, shorter_than=p.length) is None]
     return RelationSet(tuple(kept))
@@ -267,55 +267,25 @@ class Algebra:
 
     def _check_admissible(self) -> Admissibility:
         starts = [(v, ()) for v in self.quiver.vertices()]
-        # Iterative DFS, 3-coloring: a back edge is an infinite nonzero walk.
-        color: dict = {}
+        moves: dict = {}  # state -> its transitions, computed once
+
+        def step(state):
+            moves[state] = tuple(self._window_transitions(*state))
+            return tuple(nxt for _, nxt in moves[state])
+
         longest: dict = {}
-        parent_arrow: dict = {}
-        parent_of: dict = {}
-        for s in starts:
-            if s in color:
-                continue
-            stack = [(s, None)]
-            while stack:
-                state, it = stack[-1]
-                if it is None:
-                    color[state] = 1
-                    it = iter(list(self._window_transitions(*state)))
-                    stack[-1] = (state, it)
-                advanced = False
-                for a, nxt in it:
-                    if color.get(nxt, 0) == 1:
-                        cycle_word = [a.id]
-                        cur = state
-                        while cur != nxt:
-                            cycle_word.append(parent_arrow[cur])
-                            cur = parent_of[cur]
-                        cycle_word.reverse()
-                        base = nxt[0]
-                        witness = self.quiver.path(base, tuple(cycle_word))
-                        return Admissibility(
-                            False,
-                            witness_cycle=witness,
-                            reason=f"nonzero cycle {witness} never vanishes",
-                        )
-                    if color.get(nxt, 0) == 0:
-                        parent_arrow[nxt] = a.id
-                        parent_of[nxt] = state
-                        stack.append((nxt, None))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[state] = 2
-                    longest[state] = max(
-                        (
-                            1 + longest[nxt]
-                            for _, nxt in self._window_transitions(*state)
-                        ),
-                        default=0,
-                    )
-                    stack.pop()
-        longest_nonzero = max((longest[s] for s in starts), default=0)
-        return Admissibility(True, bound=longest_nonzero + 1)
+        cycle = find_cycle(starts, step, longest)
+        if cycle is None:
+            return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
+        # Each step of the witness is the first arrow from one state to the next.
+        word = tuple(
+            next(a.id for a, nxt in moves[state] if nxt == after)
+            for state, after in zip(cycle, cycle[1:] + cycle[:1])
+        )
+        witness = self.quiver.path(cycle[0][0], word)
+        return Admissibility(
+            False, witness_cycle=witness, reason=f"nonzero cycle {witness} never vanishes"
+        )
 
     def require_admissible(self) -> None:
         adm = self.admissibility

@@ -22,6 +22,7 @@ from .quiver import (
     Path,
     Quiver,
     Relabeling,
+    SearchBudgetExceeded,
     find_a_embeddings,
     find_x_embedding,
     is_extendable,
@@ -89,8 +90,7 @@ def chain_cubic_ideal(q: Quiver, m: int) -> RelationSet:
     _require_loopless(q)
     if not (4 <= m <= q.n):
         raise ValueError(f"m must be within 4..{q.n}")
-    base = list(local_max_ideal(q))
-    gens = list(base)
+    gens = list(local_max_ideal(q))
     if m >= 5:
         gens.extend(_consecutive_pairs(q, 1, m - 4))
     cubics = []
@@ -100,12 +100,6 @@ def chain_cubic_ideal(q: Quiver, m: int) -> RelationSet:
                 cubics.append(Path(m - 3, m, (a.id, b.id, c.id)))
     if not cubics:
         raise ValueError(f"missing consecutive arrows along {m-3}..{m}")
-    base_words = {g.word for g in base}
-    for cube in cubics:
-        for k in range(2):
-            assert cube.word[k : k + 2] not in base_words, (
-                "length-3 relation overlaps a local-max relation"
-            )
     gens.extend(cubics)
     return reduce_relations(gens)
 
@@ -167,6 +161,10 @@ class PlanResult:
         return self.certificate is not None
 
 
+def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
+    return next((e for e in find_a_embeddings(q, m) if is_extendable(q, e) is None), None)
+
+
 def _pull_back(q: Quiver, relabeled: RelationSet, sigma: Relabeling) -> RelationSet:
     """Rewrite relation paths in the original labels (arrow ids are stable)."""
     inv = sigma.inverse()
@@ -215,9 +213,10 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
     moving a composable pair's middle vertex to n, and for
     target k >= 3 a non-extendable line on k+1 vertices with consecutive
     relations, a one-cycle on k vertices with consecutive relations, or a
-    one-cycle on k+1 vertices with the length-3 tail family.  Failure only
-    means these constructions do not apply, not that the target is
-    impossible.
+    one-cycle on k+1 vertices with the length-3 tail family.  A route whose
+    embedding search exceeds its budget is noted in the attempts, and the
+    next route is tried.  Failure only means these constructions do not
+    apply, not that the target is impossible.
     """
     if target < 0:
         raise ValueError("target must be >= 0")
@@ -261,31 +260,24 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         return PlanResult(None, (str(exc) + "; loops force infinite global dimension",))
 
     m = target + 1
-    line = next(
-        (e for e in find_a_embeddings(q, m) if is_extendable(q, e) is None), None
+    routes = (
+        (LINE_CHAIN, "non-extendable line", m, _non_extendable_line, chain_ideal),
+        (CYCLE_CHAIN, "one-cycle", target, find_x_embedding, chain_ideal),
+        (CYCLE_CUBIC, "one-cycle", m, find_x_embedding, chain_cubic_ideal),
     )
-    if line is not None:
-        sigma = relabeling_from_embedding(q, line)
-        ideal = _pull_back(q, chain_ideal(relabel(q, sigma), m), sigma)
-        cert = _certify(q, LINE_CHAIN, target, ideal, sigma, line, m)
+    for kind, shape, size, search, ideal_of in routes:
+        try:
+            emb = search(q, size)
+        except SearchBudgetExceeded as exc:
+            attempts.append(f"{shape} on {size} vertices: {exc}")
+            continue
+        if emb is None:
+            attempts.append(f"no {shape} on {size} vertices")
+            continue
+        sigma = relabeling_from_embedding(q, emb)
+        ideal = _pull_back(q, ideal_of(relabel(q, sigma), size), sigma)
+        cert = _certify(q, kind, target, ideal, sigma, emb, size)
         return PlanResult(cert, tuple(attempts))
-    attempts.append(f"no non-extendable line on {m} vertices")
-
-    cycle = find_x_embedding(q, target)
-    if cycle is not None:
-        sigma = relabeling_from_embedding(q, cycle)
-        ideal = _pull_back(q, chain_ideal(relabel(q, sigma), target), sigma)
-        cert = _certify(q, CYCLE_CHAIN, target, ideal, sigma, cycle, target)
-        return PlanResult(cert, tuple(attempts))
-    attempts.append(f"no one-cycle on {target} vertices")
-
-    cycle = find_x_embedding(q, m)
-    if cycle is not None:
-        sigma = relabeling_from_embedding(q, cycle)
-        ideal = _pull_back(q, chain_cubic_ideal(relabel(q, sigma), m), sigma)
-        cert = _certify(q, CYCLE_CUBIC, target, ideal, sigma, cycle, m)
-        return PlanResult(cert, tuple(attempts))
-    attempts.append(f"no one-cycle on {m} vertices")
 
     attempts.append(f"target {target} is not achievable by the supported constructions")
     return PlanResult(None, tuple(attempts))

@@ -9,10 +9,12 @@ the successors of the previous one.  A cycle reachable in that graph means
 infinite projective dimension; otherwise the walk terminates and yields
 exact Betti data.
 
-One iterative depth-first walk, ``_find_cycle``, serves ``pdim``,
-``resolve`` and ``gldim``.  Every path it finishes reaches no cycle, so its
-longest chain length is memoised in ``Algebra.depths`` and later walks skip
-it.  Successors are memoised in ``Algebra.successors``, and a path is
+One iterative depth-first walk, ``quiver.find_cycle`` (called through
+``_find_cycle``), serves ``pdim``, ``resolve`` and ``gldim``; the
+admissibility check of ``algebra`` and ``quiver.has_oriented_cycle`` use the
+same walk on their own graphs.  Every path it finishes reaches no cycle, so
+its longest chain length is memoised in ``Algebra.depths`` and later walks
+skip it.  Successors are memoised in ``Algebra.successors``, and a path is
 checked to be a nonzero path of length >= 1 only on a cache miss.  Only
 relations are consulted, never the path basis: the cost tracks the relation
 count and the chain-graph size, not the (possibly exponential) dimension.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .algebra import Algebra, ModuleSpec
-from .quiver import Path
+from .quiver import Path, find_cycle
 
 ExtNat = Union[int, float]
 INFINITE: ExtNat = math.inf
@@ -112,35 +114,10 @@ def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
 def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
     """A generator-path cycle reachable from ``starts``, or None.
 
-    Depth-first in successor order.  The walk returns at the first edge back
-    to an open path (one still on the stack), so every path it finishes
-    reaches no cycle; its longest chain length goes into ``algebra.depths``
-    and later walks skip it.  Skipped paths reach no open path either, so
-    the cycle reported does not depend on what earlier walks memoised.
+    ``quiver.find_cycle`` walks the chain graph and writes the longest chain
+    length of every path it finishes into ``algebra.depths``.
     """
-    depths = algebra.depths
-    for s in starts:
-        if s in depths:
-            continue
-        kids = chain_successors(algebra, s)
-        stack = [(s, kids, iter(kids))]
-        open_at = {s: 0}
-        while stack:
-            node, kids, todo = stack[-1]
-            for child in todo:
-                if child in open_at:
-                    # child -> ... -> node, and the edge node -> child closes it
-                    return [frame[0] for frame in stack[open_at[child] :]]
-                if child not in depths:
-                    grand = chain_successors(algebra, child)
-                    open_at[child] = len(stack)
-                    stack.append((child, grand, iter(grand)))
-                    break
-            else:
-                depths[node] = 1 + max((depths[k] for k in kids), default=-1)
-                del open_at[node]
-                stack.pop()
-    return None
+    return find_cycle(starts, lambda g: chain_successors(algebra, g), algebra.depths)
 
 
 def resolve(

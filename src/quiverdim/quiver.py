@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 _ID_RE = re.compile(r"\w+\Z", re.ASCII)
 
@@ -183,20 +183,45 @@ def structure_predicates(q: Quiver) -> StructurePredicates:
 
 
 def has_oriented_cycle(q: Quiver) -> bool:
-    # Kahn peeling: a cycle survives repeated removal of sources.
-    indeg = {v: 0 for v in q.vertices()}
-    for a in q.arrows:
-        indeg[a.target] += 1
-    stack = [v for v in q.vertices() if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
-        for a in q.out_arrows(v):
-            indeg[a.target] -= 1
-            if indeg[a.target] == 0:
-                stack.append(a.target)
-    return seen < q.n
+    targets = {v: tuple(a.target for a in q.out_arrows(v)) for v in q.vertices()}
+    return find_cycle(q.vertices(), targets.get, {}) is not None
+
+
+def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optional[list]:
+    """The first cycle a depth-first walk from ``starts`` meets, or None.
+
+    The package's one search of a graph given by ``successors`` (node ->
+    tuple of nodes), run on the chain graph of ``homology``, the window
+    automaton of ``Algebra`` and the quiver itself.  Iterative, in successor
+    order, it returns the cycle's nodes at the first edge back to an open
+    node (one still on the stack).  So every node it finishes reaches no
+    cycle, and the edge count of its longest path goes into ``longest``.
+    Nodes already there are skipped; they reach no open node either, so the
+    cycle does not depend on earlier walks.  ``successors`` is called once
+    per node entered.
+    """
+    for s in starts:
+        if s in longest:
+            continue
+        kids = successors(s)
+        stack = [(s, kids, iter(kids))]
+        open_at = {s: 0}
+        while stack:
+            node, kids, todo = stack[-1]
+            for child in todo:
+                if child in open_at:
+                    # child -> ... -> node, and the edge node -> child closes it
+                    return [frame[0] for frame in stack[open_at[child] :]]
+                if child not in longest:
+                    grand = successors(child)
+                    open_at[child] = len(stack)
+                    stack.append((child, grand, iter(grand)))
+                    break
+            else:
+                longest[node] = 1 + max((longest[k] for k in kids), default=-1)
+                del open_at[node]
+                stack.pop()
+    return None
 
 
 @dataclass(frozen=True)
@@ -245,35 +270,38 @@ def find_a_embeddings(
     """Yield every simple directed path on m distinct vertices.
 
     One embedding per choice of vertices AND arrows, in lexicographic order
-    on the vertex sequence with arrow ids breaking ties.  Backtracking with
-    a visited set; raises SearchBudgetExceeded after ``budget`` search nodes
-    (the problem is longest-path-hard in general, instances here are small).
+    on the vertex sequence with arrow ids breaking ties.  Iterative
+    backtracking with a visited set; raises SearchBudgetExceeded after
+    ``budget`` search nodes (the problem is longest-path-hard in general,
+    instances here are small).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     steps = 0
-
-    def walk(vertices: list[int], arrows: list[str], visited: set[int]):
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise SearchBudgetExceeded(f"embedding search exceeded {budget} nodes")
-        if len(vertices) == m:
-            yield Embedding(tuple(vertices), tuple(arrows))
-            return
-        for a in sorted(q.out_arrows(vertices[-1]), key=lambda a: (a.target, a.id)):
-            if a.target in visited:
-                continue
-            vertices.append(a.target)
-            arrows.append(a.id)
-            visited.add(a.target)
-            yield from walk(vertices, arrows, visited)
-            visited.discard(a.target)
-            arrows.pop()
-            vertices.pop()
-
     for start in q.vertices():
-        yield from walk([start], [], {start})
+        # vertices[k] is entered by arrows[k] (None at the start); todo[k]
+        # holds the out-arrows of vertices[k] not tried yet.
+        vertices, arrows, todo, visited = [start], [None], [], {start}
+        while vertices:
+            steps += 1
+            if steps > budget:
+                raise SearchBudgetExceeded(f"embedding search exceeded {budget} nodes")
+            if len(vertices) == m:
+                yield Embedding(tuple(vertices), tuple(arrows[1:]))
+            todo.append(iter(q.out_arrows(vertices[-1]) if len(vertices) < m else ()))
+            while todo:
+                for a in todo[-1]:
+                    if a.target not in visited:
+                        break
+                else:  # every out-arrow tried: step back
+                    todo.pop()
+                    visited.discard(vertices.pop())
+                    arrows.pop()
+                    continue
+                vertices.append(a.target)
+                arrows.append(a.id)
+                visited.add(a.target)
+                break
 
 
 def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:

@@ -43,9 +43,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
         if directive == "quiver":
             if n is not None:
                 raise QvParseError(line_no, "duplicate 'quiver' directive")
-            if in_relations or arrows:
-                raise QvParseError(line_no, "'quiver' must come first")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise QvParseError(line_no, "expected: quiver <vertex count>")
             n = int(fields[1])
         elif directive == "arrow":

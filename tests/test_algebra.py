@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import quiverdim as qd
 from quiverdim.algebra import ModuleSpec
+from quiverdim.quiver import has_oriented_cycle
 
 from conftest import (
     GOLDEN_RELATION_WORDS,
@@ -267,3 +268,48 @@ def test_index_successors_match_relation_splits(rels, word):
     got = qd.chain_successors(algebra, g)
     assert sorted(p.word for p in got) == naive_successors(algebra, word)
     assert qd.chain_successors(algebra, g) == got  # memoised answer is the same
+
+
+# -- admissibility against brute force ----------------------------------------
+
+
+@st.composite
+def monomial_inputs(draw):
+    """A random quiver, loops and parallel arrows allowed, and relation words
+    drawn as walks of length 2-3; admissible or not."""
+    n = draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    pairs = draw(st.lists(ends, max_size=6))
+    q = qd.Quiver(n, tuple(qd.Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(pairs)))
+    words = []
+    for _ in range(draw(st.integers(0, 8)) if q.arrows else 0):
+        arrow = draw(st.sampled_from(q.arrows))
+        word = [arrow.id]
+        for _ in range(draw(st.integers(1, 2))):
+            outs = q.out_arrows(arrow.target)
+            if not outs:
+                break
+            arrow = draw(st.sampled_from(outs))
+            word.append(arrow.id)
+        if len(word) >= 2:
+            words.append(tuple(word))
+    return q, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=monomial_inputs())
+def test_admissibility_matches_brute_force(case):
+    q, rels = case
+    algebra = qd.Algebra(q, [q.path(q.arrow(w[0]).source, w) for w in rels])
+    adm = algebra.admissibility
+    if adm.ok:
+        longest = max(len(w) for _, _, w in brute_force_nonzero_paths(q, rels))
+        assert adm.bound == 1 + longest
+    else:
+        # A closed path whose powers up to lmax + 1 hold every window of
+        # its infinite repetition that a relation could fill.
+        w = adm.witness_cycle
+        assert w.length >= 1 and w.source == w.target and q.has_path(w)
+        for k in range(1, algebra.lmax + 2):
+            assert not any(naive_contains(w.word * k, r) for r in rels), k
+    assert has_oriented_cycle(q) == (not qd.Algebra(q).admissibility.ok)

@@ -85,3 +85,73 @@ def test_qv1_round_trip():
         q2, relations2 = qvfile.parse(qvfile.emit(q, relations))
         assert q2 == q
         assert relations2.generators == relations.generators
+
+
+BAD_QV1 = [
+    ("quiver 2\nquiver 2\n", "line 2: duplicate 'quiver' directive"),
+    ("quiver 2 3\n", "line 1: expected: quiver <vertex count>"),
+    ("quiver \u00b2\n", "line 1: expected: quiver <vertex count>"),  # a digit, not decimal
+    ("arrow a 1 2\n", "line 1: 'arrow' before 'quiver'"),
+    ("quiver 2\nrelations\narrow a 1 2\n", "line 3: 'arrow' after 'relations'"),
+    ("quiver 2\narrow a 1\n", "line 2: expected: arrow <id> <source> <target>"),
+    ("quiver 2\narrow a 1 2\narrow a 2 1\n", "line 3: duplicate arrow id 'a'"),
+    ("quiver 2\narrow a 1 b\n", "line 2: arrow endpoints must be integers"),
+    ("quiver 2\narrow a 1 3\n", "line 2: endpoint outside 1..2"),
+    ("relations\n", "line 1: 'relations' before 'quiver'"),
+    ("quiver 2\nrelations\nrelations\n", "line 3: duplicate 'relations' directive"),
+    ("quiver 2\nrel a\n", "line 2: 'rel' before 'relations'"),
+    ("quiver 2\nrelations\nrel\n", "line 3: empty relation"),
+    ("quiver 2\nloop a 1\n", "line 2: unknown directive 'loop'"),
+    ("# nothing\n\n", "line 1: missing 'quiver' directive"),
+    ("quiver 2\narrow a-b 1 2\n", "line 1: arrow id 'a-b' is not an ASCII word"),
+    ("quiver 2\narrow a 1 2\nrelations\nrel a z\n", "line 4: unknown arrow id 'z' in relation"),
+    (
+        "quiver 2\narrow a 1 2\nrelations\nrel a a\n",
+        "line 4: relation does not compose: word ('a', 'a') breaks at 'a': "
+        "expected source 2, got 1",
+    ),
+    ("quiver 2\narrow a 1 1\nrelations\nrel a a\nrel a\n", "line 5: relations must have length >= 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_QV1)
+def test_malformed_qv1_is_an_input_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.qv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["gldim", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+BAD_SPECS = [
+    ("S:0", "bad module spec 'S:0': unknown vertex 0 (quiver has vertices 1..3)"),
+    ("S:x", "bad module spec 'S:x': invalid literal for int() with base 10: 'x'"),
+    ("Q:1", "bad module spec 'Q:1'; use S:i, P:i, Delta:i, Gamma:i or M:i:a,b"),
+    ("M:1:zz", "bad module spec 'M:1:zz': not out-arrows of 1: ['zz']"),
+]
+
+
+@pytest.mark.parametrize("command", ["resolve", "render"])
+@pytest.mark.parametrize("spec, message", BAD_SPECS)
+def test_bad_module_spec_is_an_input_error(command, spec, message, golden_file, capsys):
+    assert cli.main([command, golden_file, "--module", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_construct_survives_an_exhausted_budget(tmp_path, capsys):
+    # On K10 every line is extendable, so the line route exhausts its search
+    # budget; the one-cycle route still certifies.
+    path = tmp_path / "k10.qv"
+    path.write_text(qvfile.emit(complete_quiver(10)))
+    assert cli.main(["construct", str(path), "--target", "9", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gldim"] == 9
+    assert payload["certificate"]["kind"] == "cycle-chain"
+
+
+def test_construct_on_a_long_line(tmp_path, capsys):
+    path = tmp_path / "line.qv"
+    path.write_text(qvfile.emit(linear_quiver(1000)))
+    assert cli.main(["construct", str(path), "--target", "999", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gldim"] == 999
+    assert payload["certificate"]["kind"] == "line-chain"

@@ -1,7 +1,9 @@
-"""CLI outputs pinned byte for byte on four small algebras.
+"""CLI outputs pinned byte for byte on six small algebras.
 
 ``tests/golden/NAME.qv`` is the input and ``tests/golden/NAME.json`` maps
 each command line (the file left out) to its exit code, stdout and stderr.
+Two of the algebras are not admissible, so their error text, which names
+the witness cycle, is pinned too.
 Rewrite the recorded outputs from the current package with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,18 +19,27 @@ import pytest
 import quiverdim as qd
 from quiverdim import cli, qvfile
 
-from conftest import complete_quiver, golden_algebra, linear_quiver, one_loop_algebra
+from conftest import (
+    complete_quiver,
+    golden_algebra,
+    golden_quiver,
+    linear_quiver,
+    one_loop_algebra,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def algebras() -> dict[str, qd.Algebra]:
     k4, a5 = complete_quiver(4), linear_quiver(5)
+    loops = qd.Quiver(1, (qd.Arrow("x", 1, 1), qd.Arrow("y", 1, 1)))
     return {
         "golden": golden_algebra(),
         "k4-localmax": qd.Algebra(k4, qd.local_max_ideal(k4)),
         "a5-chain": qd.Algebra(a5, qd.chain_ideal(a5, 5)),
         "one-loop": one_loop_algebra(3),
+        "free-golden": qd.Algebra(golden_quiver()),
+        "two-loops": qd.Algebra(loops, [loops.path(1, ("x", "x")), loops.path(1, ("y", "y"))]),
     }
 
 
@@ -36,11 +47,12 @@ def commands(n: int) -> list[list[str]]:
     """Every command of the golden table, without the input file."""
     tails = [[c] for c in ("gldim", "corollary", "check-sqh", "verify", "oracle-check")]
     tails += [["construct", "--target", str(t)] for t in range(n + 2)]
-    for kind in ("S", "Delta", "Gamma", "P"):
-        for i in range(1, n + 1):
-            tails.append(["resolve", "--module", f"{kind}:{i}"])
-            tails.append(["resolve", "--module", f"{kind}:{i}", "--max-deg", "3"])
-    return [tail + flag for tail in tails for flag in ([], ["--json"])]
+    modules = [f"{kind}:{i}" for kind in ("S", "Delta", "Gamma", "P") for i in range(1, n + 1)]
+    for module in modules:
+        tails.append(["resolve", "--module", module])
+        tails.append(["resolve", "--module", module, "--max-deg", "3"])
+    renders = [["render", "--module", module] for module in modules]  # text only
+    return [tail + flag for tail in tails for flag in ([], ["--json"])] + renders
 
 
 def run(tail: list[str], path: str) -> dict:
