@@ -32,7 +32,6 @@ from .homology import (
     resolve,
     verify_local_max_resolution,
 )
-from .oracle import Rep, check_relations, minimal_resolution, rep_of, syzygy
 from .qh import SqhReport, check_strongly_qh, ringel_bound_check, verify_sequence_identities
 from .quiver import (
     Arrow,

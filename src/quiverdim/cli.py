@@ -3,17 +3,21 @@
 Commands read a QV1 file and print human-readable text, or a JSON report
 with ``--json``.  Exit codes: 0 success / affirmative, 1 negative decision
 (not achievable, not quasi-hereditary, a failed check), 2 input error.
+
+The mod-p oracle, and with it numpy, is imported only by ``verify`` and
+``oracle-check``; the other commands never load it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from typing import Optional
 
-from . import construct, homology, oracle, qh, qvfile, render
+from . import construct, homology, qh, qvfile, render
 from .algebra import Algebra, BasisCapExceeded, ModuleSpec, NotAdmissibleError
 from .homology import ExtNat, InfiniteResolutionError
 from .quiver import Quiver
@@ -245,9 +249,14 @@ def cmd_check_sqh(args) -> int:
     return 0 if report.overall else 1
 
 
-def _engine_comparisons(algebra: Algebra, max_deg: int, p: int):
+def _engine_comparisons(algebra: Algebra, max_deg: int, p: Optional[int]):
     """Each S, Delta and Gamma module, named like ``Delta_2``, with its
-    chain and matrix resolutions and whether the two agree."""
+    chain and matrix resolutions over GF(p) (``oracle.DEFAULT_PRIME`` when
+    p is None) and whether the two agree."""
+    from . import oracle
+
+    if p is None:
+        p = oracle.DEFAULT_PRIME
     q = algebra.quiver
     for label in ("S", "Delta", "Gamma"):
         for i in q.vertices():
@@ -258,7 +267,7 @@ def _engine_comparisons(algebra: Algebra, max_deg: int, p: int):
             yield f"{label}_{i}", spec, chain, matrix, same
 
 
-def _verify_checks(algebra: Algebra, field: int, max_deg: int) -> list[dict]:
+def _verify_checks(algebra: Algebra, field: Optional[int], max_deg: int) -> list[dict]:
     checks: list[dict] = []
     adm = algebra.admissibility
     checks.append(
@@ -316,7 +325,9 @@ def cmd_oracle_check(args) -> int:
     quiver, relations, digest = qvfile.load(args.file)
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
-    fields = [args.field] if args.field else [2, oracle.DEFAULT_PRIME]
+    from . import oracle
+
+    fields = [2, oracle.DEFAULT_PRIME] if args.field is None else [args.field]
     checks = [
         {"name": f"p{p}_{name}", "ok": same, "detail": ""}
         for p in fields
@@ -343,7 +354,10 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` leaves it unchanged,
+    so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="quiverdim",
         description="Monomial bound quiver algebras: exact global dimension, "
@@ -376,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("verify", cmd_verify, help="cross-check both engines on this algebra")
-    p.add_argument("--field", type=int, default=oracle.DEFAULT_PRIME)
+    p.add_argument("--field", type=int, default=None)
     p.add_argument("--max-deg", type=int, default=8)
     p.add_argument("--json", action="store_true")
 

@@ -129,6 +129,8 @@ def resolve(
     module has infinite projective dimension); otherwise truncated at
     ``max_deg`` and flagged incomplete if there is more.
     """
+    if max_deg is not None and max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
     algebra.require_admissible()
     level = _level_one(algebra, spec)
     if max_deg is None:

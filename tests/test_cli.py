@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,9 @@ from conftest import (
     one_loop_algebra,
     random_loopless_quiver,
 )
+
+TESTS = pathlib.Path(__file__).parent
+GOLDEN_QV = str(TESTS / "golden" / "golden.qv")
 
 
 @pytest.fixture
@@ -66,6 +73,55 @@ def test_removed_options_are_usage_errors(argv, golden_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv[:1] + [golden_file] + argv[1:])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--field", "0"], "0 is not prime"),
+        (["oracle-check", "--field", "0"], "0 is not prime"),
+        (["resolve", "--module", "S:1", "--max-deg", "-1"], "max_deg must be >= 0"),
+        (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
+        (["oracle-check", "--max-deg", "-1"], "max_deg must be >= 0"),
+    ],
+)
+def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys):
+    assert cli.main(argv[:1] + [golden_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_only_the_oracle_commands_load_numpy():
+    # A fresh interpreter, since this one may have loaded numpy already.
+    script = (
+        "import sys, quiverdim, quiverdim.cli\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(quiverdim.cli.main(['verify', sys.argv[1], '--json']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, GOLDEN_QV],
+        env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stderr == "False\n"
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", GOLDEN_QV])  # --target missing
+    assert exc.value.code == 2
+    assert cli.main(["resolve", GOLDEN_QV, "--module", "Q:1", "--max-deg", "3"]) == 2
+    capsys.readouterr()
+    want = json.loads((TESTS / "golden" / "golden.json").read_text())["resolve --module S:1 --json"]
+    code = cli.main(["resolve", GOLDEN_QV, "--module", "S:1", "--json"])
+    out, err = capsys.readouterr()
+    assert {"exit": code, "stdout": out, "stderr": err} == want
 
 
 def test_qv1_round_trip():

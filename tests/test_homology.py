@@ -230,6 +230,13 @@ def test_resolution_pdim_accessor(golden):
         truncated.pdim()
 
 
+def test_resolve_rejects_a_negative_max_deg(golden):
+    spec = ModuleSpec.simple(golden.quiver, 1)
+    assert qd.resolve(golden, spec, max_deg=0).betti == ({1: 1},)
+    with pytest.raises(ValueError, match="max_deg must be >= 0"):
+        qd.resolve(golden, spec, max_deg=-1)
+
+
 @pytest.mark.parametrize("n", [8, 12])
 def test_homology_never_builds_the_basis(n):
     # K8 has 21,845 nonzero paths under the local-max ideal, far above the
