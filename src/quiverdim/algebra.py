@@ -42,14 +42,21 @@ class RelationIndex:
     remainders v.
     """
 
-    def __init__(self, words: Iterable[tuple[str, ...]]):
-        self.words = frozenset(words)
-        self.lengths = tuple(sorted({len(w) for w in self.words}))
-        rests: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for w in self.words:
-            for cut in range(1, len(w)):
-                rests.setdefault(w[:cut], []).append(w[cut:])
-        self.rests = {u: tuple(vs) for u, vs in rests.items()}
+    def __init__(self, words: Iterable[tuple[str, ...]] = ()):
+        self.words: set[tuple[str, ...]] = set()
+        self.lengths: tuple[int, ...] = ()
+        self.rests: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for w in words:
+            self.add(w)
+
+    def add(self, word: tuple[str, ...]) -> None:
+        if word in self.words:
+            return
+        self.words.add(word)
+        if len(word) not in self.lengths:
+            self.lengths = tuple(sorted(self.lengths + (len(word),)))
+        for cut in range(1, len(word)):
+            self.rests.setdefault(word[:cut], []).append(word[cut:])
 
     def first_infix(
         self, word: tuple[str, ...], shorter_than: Optional[int] = None
@@ -81,20 +88,41 @@ class RelationIndex:
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
     """Drop every relation containing another one as an infix; reject short ones."""
     unique = sorted(set(paths), key=Path.sort_key)
-    # Distinct paths of length >= 1 have distinct words (an arrow fixes its
-    # source), so one is redundant iff a shorter word occurs in it.  Only a
-    # trivial path is shorter than an arrow, so the first path of length < 2
-    # is kept, and ``RelationSet`` rejects it.
-    index = RelationIndex(p.word for p in unique)
-    kept = [p for p in unique if index.first_infix(p.word, shorter_than=p.length) is None]
-    return RelationSet(tuple(kept))
+    if unique:
+        _require_length(unique[0])
+    # Shortest first, so a path is redundant iff a kept, shorter word occurs
+    # in it (an infix of an infix is one), and the index holds only the kept
+    # words.  Distinct paths of length >= 2 of one quiver have distinct words
+    # (an arrow fixes its source); a repeated word means one is malformed.
+    index = RelationIndex()
+    kept = []
+    for p in unique:
+        if p.word in index.words:
+            raise _not_reduced(p.word, p.word)
+        if index.first_infix(p.word, shorter_than=p.length) is None:
+            kept.append(p)
+            index.add(p.word)
+    return RelationSet.trusted(tuple(kept), index)
+
+
+def _require_length(g: Path) -> None:
+    if g.length < 2:
+        raise NotAdmissibleError(
+            f"zero relation {g} has length {g.length}; relations must have length >= 2"
+        )
+
+
+def _not_reduced(u: tuple[str, ...], w: tuple[str, ...]) -> ValueError:
+    return ValueError(f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(w)}")
 
 
 @dataclass(frozen=True)
 class RelationSet:
     """A reduced set of zero-relation paths (no word an infix of another).
 
-    ``index`` is the ``RelationIndex`` of the generator words.
+    ``index`` is the ``RelationIndex`` of the generator words.  The
+    constructor checks both conditions; ``trusted`` takes an index already
+    built from reduced generators and checks nothing.
     """
 
     generators: tuple[Path, ...]
@@ -103,20 +131,23 @@ class RelationSet:
         object.__setattr__(self, "generators", tuple(self.generators))
         words = [g.word for g in self.generators]
         for g in self.generators:
-            if g.length < 2:
-                raise NotAdmissibleError(
-                    f"zero relation {g} has length {g.length}; relations must have length >= 2"
-                )
+            _require_length(g)
         index = RelationIndex(words)
         seen: set[tuple[str, ...]] = set()
         for w in words:
             u = w if w in seen else index.first_infix(w, shorter_than=len(w))
             if u is not None:
-                raise ValueError(
-                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(w)}"
-                )
+                raise _not_reduced(u, w)
             seen.add(w)
         object.__setattr__(self, "index", index)
+
+    @classmethod
+    def trusted(cls, generators: tuple[Path, ...], index: RelationIndex) -> "RelationSet":
+        """Wrap reduced generators of length >= 2 with the index of their words."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "index", index)
+        return self
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -209,9 +240,9 @@ class Algebra:
     module, so every simple, ``pdim``, ``resolve`` and cycle search shares
     it.  ``successors`` memoises ``homology.chain_successors`` per generator
     path.  ``depths`` holds the longest chain length from each path the walk
-    has finished; only paths that reach no cycle are ever finished, and the
-    length depends on the path and the relations alone, so a depth recorded
-    while resolving one module holds for every other.  Apart from these
+    has entered, ``math.inf`` for a path that reaches a cycle; the length
+    depends on the path and the relations alone, so a depth recorded while
+    resolving one module holds for every other.  Apart from these
     caches the algebra is immutable after construction, and it stays safe to
     share between threads: every cache entry is deterministic, so a race
     only computes the same value twice.
@@ -234,7 +265,7 @@ class Algebra:
         self.index = relations.index
         self.lmax = max(self.index.lengths, default=0)
         self.successors: dict[Path, tuple[Path, ...]] = {}
-        self.depths: dict[Path, int] = {}
+        self.depths: dict[Path, int | float] = {}
 
     # -- zero tests ---------------------------------------------------------
 

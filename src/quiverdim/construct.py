@@ -168,10 +168,10 @@ def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
 def _pull_back(q: Quiver, relabeled: RelationSet, sigma: Relabeling) -> RelationSet:
     """Rewrite relation paths in the original labels (arrow ids are stable)."""
     inv = sigma.inverse()
-    return RelationSet(
-        tuple(
-            Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled
-        )
+    # the words, and so their index and reducedness, do not change
+    return RelationSet.trusted(
+        tuple(Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled),
+        relabeled.index,
     )
 
 

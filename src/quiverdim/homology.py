@@ -10,14 +10,15 @@ infinite projective dimension; otherwise the walk terminates and yields
 exact Betti data.
 
 One iterative depth-first walk, ``quiver.find_cycle`` (called through
-``_find_cycle``), serves ``pdim``, ``resolve`` and ``gldim``; the
-admissibility check of ``algebra`` and ``quiver.has_oriented_cycle`` use the
-same walk on their own graphs.  Every path it finishes reaches no cycle, so
-its longest chain length is memoised in ``Algebra.depths`` and later walks
-skip it.  Successors are memoised in ``Algebra.successors``, and a path is
-checked to be a nonzero path of length >= 1 only on a cache miss.  Only
-relations are consulted, never the path basis: the cost tracks the relation
-count and the chain-graph size, not the (possibly exponential) dimension.
+``_walk``), serves ``pdim``, ``resolve`` and ``gldim``; the admissibility
+check of ``algebra`` and ``quiver.has_oriented_cycle`` use the same walk on
+their own graphs.  The longest chain length from every path it enters is
+memoised in ``Algebra.depths``, ``math.inf`` once the path is known to reach
+a cycle, and later walks skip it.  Successors are memoised in
+``Algebra.successors``, and a path is checked to be a nonzero path of
+length >= 1 only on a cache miss.  Only relations are consulted, never the
+path basis: the cost tracks the relation count and the chain-graph size,
+not the (possibly exponential) dimension.
 The linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
@@ -111,13 +112,24 @@ def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
     )
 
 
+def _walk(algebra: Algebra, starts: list[Path], depths: dict) -> Optional[list[Path]]:
+    return find_cycle(starts, lambda g: chain_successors(algebra, g), depths)
+
+
 def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
     """A generator-path cycle reachable from ``starts``, or None.
 
     ``quiver.find_cycle`` walks the chain graph and writes the longest chain
-    length of every path it finishes into ``algebra.depths``.
+    length of every path it enters into ``algebra.depths`` (``math.inf`` for
+    those reaching a cycle).  When the cycle is reached only through paths
+    an earlier walk marked infinite, the walk is repeated with the finite
+    depths alone, so the cycle is the one a fresh algebra would report.
     """
-    return find_cycle(starts, lambda g: chain_successors(algebra, g), algebra.depths)
+    cycle = _walk(algebra, starts, algebra.depths)
+    if cycle is None and any(algebra.depths[g] == INFINITE for g in starts):
+        finite = {g: d for g, d in algebra.depths.items() if d != INFINITE}
+        cycle = _walk(algebra, starts, finite)
+    return cycle
 
 
 def resolve(
@@ -161,7 +173,7 @@ def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
     starts = _level_one(algebra, spec)
     if not starts:
         return 0
-    if _find_cycle(algebra, starts) is not None:
+    if _walk(algebra, starts, algebra.depths) is not None:
         return INFINITE
     return 1 + max(algebra.depths[g] for g in starts)
 

@@ -2,16 +2,22 @@
 
 Modules become explicit quiver representations on the path basis; projective
 covers, syzygies and minimal resolutions are computed by exact modular
-Gaussian elimination with deterministic pivoting (numpy int64 arrays carry
-the arithmetic; with p <= ~10^4 nothing overflows).  All ideals here are
-monomial, so every computed dimension is independent of the chosen prime;
-that independence is itself asserted in the test suite.  This engine shares
-no resolution logic with ``homology`` and serves as its cross-check.
+Gaussian elimination with deterministic pivoting.  Linear algebra runs only
+on a module's support: a vertex or arrow whose fiber is zero costs no
+elimination and no product, a subrepresentation takes one matrix product per
+arrow, and each module's radical is built once per homological degree.
+numpy int64 arrays carry the arithmetic; an entry is below p, so a product
+with inner dimension k is exact while (p-1)**2 * k < 2**63, which ``_mul``
+checks before every product.  All ideals here are monomial, so every
+computed dimension is independent of the chosen prime; that independence is
+itself asserted in the test suite.  This engine shares no resolution logic
+with ``homology`` and serves as its cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +28,8 @@ from .quiver import Path, Quiver
 DEFAULT_PRIME = 101
 
 
-MAX_PRIME = 32749  # keeps every int64 intermediate below 2**45
+# (p-1)**2 < 2**30, so an int64 product is exact for inner dimension below 2**33
+MAX_PRIME = 32749
 
 
 def _require_prime(p: int) -> None:
@@ -35,10 +42,20 @@ def _require_prime(p: int) -> None:
 # -- exact mod-p matrix kit ---------------------------------------------------
 
 
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for entries in [0, p); raises if int64 could overflow."""
+    k = a.shape[-1]
+    if (p - 1) ** 2 * k >= 2**63:
+        raise OverflowError(f"int64 product of inner dimension {k} not exact mod {p}")
+    return (a @ b) % p
+
+
 def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; pivot = first nonzero entry per column."""
-    m = np.array(m % p, dtype=np.int64)
     rows, cols = m.shape
+    if not rows or not cols:
+        return np.zeros((0, cols), dtype=np.int64), []
+    m = np.array(m % p, dtype=np.int64)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
@@ -54,7 +71,7 @@ def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         others = np.nonzero(m[:, c])[0]
         others = others[others != r]
         if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+            m[others] = (m[others] - _mul(m[others, c : c + 1], m[r : r + 1], p)) % p
         pivot_cols.append(c)
         r += 1
     return m[: len(pivot_cols)], pivot_cols
@@ -63,20 +80,23 @@ def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def _nullspace(m: np.ndarray, p: int) -> np.ndarray:
     """Canonical kernel basis (rows), one vector per free column, ascending."""
     rows, cols = m.shape
+    if not rows or not cols:
+        return np.eye(cols, dtype=np.int64)
     rr, pivots = _rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row_i, c in enumerate(pivots):
-            basis[k, c] = (-int(rr[row_i, f])) % p
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-rr[:, free].T) % p
     return basis
 
 
 def _coords(basis: np.ndarray, pivots: list[int], y: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of y in an RREF basis; y must lie in the span."""
+    """Coordinates of the columns of y in an RREF basis (one column each);
+    every column must lie in the span."""
     c = y[pivots] % p
-    if np.any((y - c @ basis) % p):
+    if np.any((y - _mul(basis.T, c, p)) % p):
         raise ArithmeticError("vector outside subspace; not a subrepresentation?")
     return c
 
@@ -135,7 +155,7 @@ def check_relations(algebra: Algebra, rep: Rep) -> bool:
         m = None
         for arrow_id in rel.word:
             step = rep.action[arrow_id]
-            m = step if m is None else (step @ m) % rep.p
+            m = step if m is None else _mul(step, m, rep.p)
         if np.any(m):
             return False
     return True
@@ -148,97 +168,101 @@ def _radical(rep: Rep) -> dict[int, tuple[np.ndarray, list[int]]]:
         pieces = [
             rep.action[a.id].T for a in rep.quiver.in_arrows(v) if rep.dims[a.source]
         ]
-        if pieces:
-            stacked = np.vstack(pieces)
-            out[v] = _rref(stacked, rep.p)
+        if pieces and rep.dims[v]:
+            out[v] = _rref(np.vstack(pieces), rep.p)
         else:
             out[v] = (np.zeros((0, rep.dims[v]), dtype=np.int64), [])
     return out
 
 
+def _top_lifts(rep: Rep) -> dict[int, list[int]]:
+    """Per vertex, the coordinates whose unit vectors complete the radical
+    to the whole fiber: the non-pivot columns of its RREF basis."""
+    rad = _radical(rep)
+    return {
+        v: sorted(set(range(rep.dims[v])) - set(rad[v][1])) for v in rep.quiver.vertices()
+    }
+
+
 def top_dims(rep: Rep) -> dict[int, int]:
     """Multiplicities of the simples in rep / rad rep (nonzero entries only)."""
-    rad = _radical(rep)
-    out = {}
-    for v in sorted(rep.dims):
-        t = rep.dims[v] - len(rad[v][1])
-        if t:
-            out[v] = t
-    return out
+    return {v: len(ks) for v, ks in _top_lifts(rep).items() if ks}
 
 
 def _sub_rep(parent: Rep, bases: dict[int, tuple[np.ndarray, list[int]]]) -> Rep:
-    """Materialize a subrepresentation from per-vertex RREF bases."""
+    """Materialize a subrepresentation from per-vertex RREF bases.
+
+    Each arrow maps its source basis with one product; the coordinates are
+    read at the target pivots, after checking that every image lies in the
+    target subspace (``ArithmeticError`` otherwise).
+    """
+    p = parent.p
     dims = {v: bases[v][0].shape[0] for v in parent.quiver.vertices()}
     action: dict[str, np.ndarray] = {}
     for a in parent.quiver.arrows:
-        src_rows = bases[a.source][0]
-        tgt_rows, tgt_piv = bases[a.target]
-        m = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
-        for j in range(src_rows.shape[0]):
-            y = (parent.action[a.id] @ src_rows[j]) % parent.p
-            m[:, j] = _coords(tgt_rows, tgt_piv, y, parent.p)
-        action[a.id] = m
-    return Rep(parent.quiver, parent.p, dims, action)
+        if dims[a.source] and parent.dims[a.target]:
+            images = _mul(parent.action[a.id], bases[a.source][0].T, p)
+            action[a.id] = _coords(*bases[a.target], images, p)
+        else:
+            action[a.id] = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
+    return Rep(parent.quiver, p, dims, action)
 
 
-def _top_lifts(rep: Rep) -> dict[int, list[np.ndarray]]:
-    """Standard basis vectors completing the radical to the whole fiber."""
-    rad = _radical(rep)
-    lifts: dict[int, list[np.ndarray]] = {}
-    for v in rep.quiver.vertices():
-        taken = set(rad[v][1])
-        vecs = []
-        for k in range(rep.dims[v]):
-            if k not in taken:
-                e = np.zeros(rep.dims[v], dtype=np.int64)
-                e[k] = 1
-                vecs.append(e)
-        lifts[v] = vecs
-    return lifts
-
-
-def syzygy(algebra: Algebra, rep: Rep) -> Rep:
+def syzygy(
+    algebra: Algebra, rep: Rep, lifts: Optional[dict[int, list[int]]] = None
+) -> Rep:
     """Kernel of the minimal projective cover map onto ``rep``.
 
     The cover is the sum of P(v), one copy per top generator; its basis is
     (generator, path) pairs, on which arrows act by appending.  Images of
     basis elements under the cover map are built incrementally (path by
-    extension), the kernel per vertex via one nullspace each.
+    extension), the kernel per vertex via one nullspace each.  ``lifts`` is
+    ``_top_lifts(rep)`` when the caller already has it.
     """
     q = algebra.quiver
     p = rep.p
-    lifts = _top_lifts(rep)
-    gens = [(v, k) for v in sorted(lifts) for k in range(len(lifts[v]))]
+    if lifts is None:
+        lifts = _top_lifts(rep)
+    empty = np.zeros(0, dtype=np.int64)  # the image at every zero fiber
     elements: dict[int, list[tuple[int, int, Path]]] = {w: [] for w in q.vertices()}
     images: dict[tuple[int, int, Path], np.ndarray] = {}
-    for (v, k) in gens:
-        for path in algebra.basis.by_source[v]:
-            if path.is_trivial:
-                img = lifts[v][k]
-            else:
-                last = path.word[-1]
-                parent = Path(v, q.arrow(last).source, path.word[:-1])
-                img = (rep.action[last] @ images[(v, k, parent)]) % p
-            images[(v, k, path)] = img
-            elements[path.target].append((v, k, path))
+    for v in sorted(lifts):
+        for k in lifts[v]:
+            for path in algebra.basis.by_source[v]:
+                if path.is_trivial:
+                    img = np.zeros(rep.dims[v], dtype=np.int64)
+                    img[k] = 1
+                else:
+                    last = path.word[-1]
+                    parent = images[(v, k, Path(v, q.arrow(last).source, path.word[:-1]))]
+                    if rep.dims[path.target]:
+                        img = _mul(rep.action[last], parent, p)
+                    else:
+                        img = empty
+                images[(v, k, path)] = img
+                elements[path.target].append((v, k, path))
     index = {elem: i for w in q.vertices() for i, elem in enumerate(elements[w])}
     cover_dims = {w: len(elements[w]) for w in q.vertices()}
     cover_action: dict[str, np.ndarray] = {}
     for a in q.arrows:
         m = np.zeros((cover_dims[a.target], cover_dims[a.source]), dtype=np.int64)
         for col, (v, k, path) in enumerate(elements[a.source]):
-            grown = path.word + (a.id,)
-            if not algebra.is_zero_word(grown):
-                m[index[(v, k, Path(v, a.target, grown))], col] = 1
+            # appending a is nonzero exactly when the grown path is in the basis
+            row = index.get((v, k, Path(v, a.target, path.word + (a.id,))))
+            if row is not None:
+                m[row, col] = 1
         cover_action[a.id] = m
     cover = Rep(q, p, cover_dims, cover_action)
     kernels: dict[int, tuple[np.ndarray, list[int]]] = {}
     for w in q.vertices():
-        matrix = np.zeros((rep.dims[w], cover_dims[w]), dtype=np.int64)
-        for col, elem in enumerate(elements[w]):
-            matrix[:, col] = images[elem]
-        kernels[w] = _rref(_nullspace(matrix, p), p)
+        n = cover_dims[w]
+        if not rep.dims[w]:
+            kernels[w] = (np.eye(n, dtype=np.int64), list(range(n)))
+        elif not n:
+            kernels[w] = (np.zeros((0, 0), dtype=np.int64), [])
+        else:
+            matrix = np.column_stack([images[elem] for elem in elements[w]])
+            kernels[w] = _rref(_nullspace(matrix, p), p)
     return _sub_rep(cover, kernels)
 
 
@@ -254,6 +278,7 @@ def minimal_resolution(
     for _ in range(max_deg + 1):
         if current.total_dim == 0:
             return Resolution(tuple(betti), complete=True)
-        betti.append(top_dims(current))
-        current = syzygy(algebra, current)
+        lifts = _top_lifts(current)
+        betti.append({v: len(ks) for v, ks in lifts.items() if ks})
+        current = syzygy(algebra, current, lifts)
     return Resolution(tuple(betti), complete=current.total_dim == 0)

@@ -9,6 +9,7 @@ package, including relation words in files, is a traversal-order word.)
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -194,11 +195,14 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
     tuple of nodes), run on the chain graph of ``homology``, the window
     automaton of ``Algebra`` and the quiver itself.  Iterative, in successor
     order, it returns the cycle's nodes at the first edge back to an open
-    node (one still on the stack).  So every node it finishes reaches no
-    cycle, and the edge count of its longest path goes into ``longest``.
-    Nodes already there are skipped; they reach no open node either, so the
-    cycle does not depend on earlier walks.  ``successors`` is called once
-    per node entered.
+    node (one still on the stack), after writing ``math.inf`` into
+    ``longest`` for every open node: each reaches the cycle.  A node it
+    finishes gets the edge count of its longest path, which is ``math.inf``
+    exactly when it reaches a node already marked so.  Nodes already in
+    ``longest`` are skipped, so a later walk that meets a cycle only
+    through them returns None; walked again with the finite entries alone,
+    it returns the cycle a walk with no earlier entries would.
+    ``successors`` is called once per node entered.
     """
     for s in starts:
         if s in longest:
@@ -211,6 +215,8 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
             for child in todo:
                 if child in open_at:
                     # child -> ... -> node, and the edge node -> child closes it
+                    for frame in stack:
+                        longest[frame[0]] = math.inf
                     return [frame[0] for frame in stack[open_at[child] :]]
                 if child not in longest:
                     grand = successors(child)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import quiverdim as qd
@@ -135,8 +136,100 @@ def test_field_validation(golden):
     oracle.rep_of(golden, ModuleSpec.simple(q, 1), p=2)
 
 
+def test_products_check_their_exactness_bound():
+    # (p-1)**2 * k must stay below 2**63; a zero-stride view costs no memory
+    wide = np.lib.stride_tricks.as_strided(
+        np.zeros(1, dtype=np.int64), shape=(1, 2**34), strides=(0, 0)
+    )
+    with pytest.raises(OverflowError):
+        oracle._mul(wide, wide.T, oracle.MAX_PRIME)
+    assert oracle._mul(np.ones((1, 3), dtype=np.int64), np.ones((3, 1), dtype=np.int64), 2) == 1
+
+
 def test_one_loop_quadratic_alternating_syzygies():
     algebra = one_loop_algebra(2)
     q = algebra.quiver
     res = oracle.minimal_resolution(algebra, ModuleSpec.simple(q, 1), 5)
     assert res.betti == ({1: 1},) * 6 and not res.complete
+
+
+def test_sub_rep_rejects_bases_not_closed_under_arrows(complete4_algebra):
+    q = complete4_algebra.quiver
+    rep = oracle.rep_of(complete4_algebra, ModuleSpec.projective(q, 1))
+    whole = {v: (np.eye(d, dtype=np.int64), list(range(d))) for v, d in rep.dims.items()}
+    assert oracle._sub_rep(rep, whole).dims == rep.dims
+    # the top alone: arrow 1 -> 2 maps it to a nonzero vector outside the zero fiber
+    top = {v: (np.zeros((0, d), dtype=np.int64), []) for v, d in rep.dims.items()}
+    top[1] = whole[1]
+    with pytest.raises(ArithmeticError):
+        oracle._sub_rep(rep, top)
+    # a proper nonzero subspace at 3 that misses the image of arrow 2 -> 3
+    image = rep.action["a23"] @ whole[2][0].T
+    assert image.any()
+    missing = int(np.flatnonzero(image[:, 0])[0])
+    kept = [k for k in range(rep.dims[3]) if k != missing]
+    part = dict(whole)
+    part[3] = (np.eye(rep.dims[3], dtype=np.int64)[kept], kept)
+    with pytest.raises(ArithmeticError):
+        oracle._sub_rep(rep, part)
+
+
+def _random_monomial_algebra(rng):
+    """Loops and parallel arrows allowed; relations are random walks of
+    length 2-4.  None when the result is not admissible."""
+    n = rng.randint(1, 4)
+    pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+    q = qd.Quiver(n, tuple(qd.Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(pairs)))
+    relations = []
+    for _ in range(rng.randint(0, 8)):
+        arrow = rng.choice(q.arrows)
+        word = [arrow.id]
+        for _ in range(rng.randint(1, 3)):
+            outs = q.out_arrows(arrow.target)
+            if not outs:
+                break
+            arrow = rng.choice(outs)
+            word.append(arrow.id)
+        if len(word) >= 2:
+            relations.append(q.path(q.arrow(word[0]).source, tuple(word)))
+    algebra = qd.Algebra(q, relations)
+    return algebra if algebra.admissibility.ok else None
+
+
+def _sparse_line_algebra(rng, n=40):
+    """A long line whose relations have length 2 or 3, so every module lives
+    on at most three of its vertices and most fibers are zero."""
+    q = linear_quiver(n)
+    relations = []
+    for i in range(1, n - 1):
+        k = rng.choice((2, 3))
+        if i + k <= n:
+            relations.append(q.path(i, tuple(f"a{j}" for j in range(i, i + k))))
+    return qd.Algebra(q, relations)
+
+
+def _agree_over_two_fields(algebra, specs, max_deg=6):
+    for spec in specs:
+        chain = qd.resolve(algebra, spec, max_deg=max_deg)
+        for p in (2, 101):
+            matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
+            assert matrix.betti == chain.betti, (algebra.relations, spec, p)
+            assert matrix.complete == chain.complete, (algebra.relations, spec, p)
+
+
+def test_engines_agree_with_loops_parallel_arrows_and_sparse_support():
+    rng = random.Random(71)
+    checked = 0
+    while checked < 25:
+        algebra = _random_monomial_algebra(rng)
+        if algebra is None or algebra.dim > 150:
+            continue
+        q = algebra.quiver
+        builds = ALL_SPECS + (ModuleSpec.projective,)
+        _agree_over_two_fields(algebra, [b(q, i) for b in builds for i in q.vertices()])
+        checked += 1
+    for _ in range(2):
+        algebra = _sparse_line_algebra(rng)
+        q = algebra.quiver
+        builds = (ModuleSpec.simple, ModuleSpec.projective)
+        _agree_over_two_fields(algebra, [b(q, i) for b in builds for i in q.vertices()])

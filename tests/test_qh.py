@@ -65,6 +65,25 @@ def test_hom_route_matches_combinatorial_route():
             assert r.hom_delta_ok == r.delta_factors_ok
 
 
+def test_hom_delta_ok_matches_matrix_fibers():
+    # dim Hom(P(j), Delta(i)) is the dimension of Delta(i)'s fiber at j, read
+    # here off the matrix engine's representation, not composition vectors
+    from quiverdim import oracle
+
+    rng = random.Random(67)
+    algebras = [golden_algebra()]
+    for _ in range(10):
+        q = random_loopless_quiver(rng, n_max=5)
+        algebras.append(qd.Algebra(q, qd.local_max_ideal(q)))
+    for algebra in algebras:
+        q = algebra.quiver
+        report = qd.check_strongly_qh(algebra)
+        for i in q.vertices():
+            dims = oracle.rep_of(algebra, ModuleSpec.delta(q, i)).dims
+            hom_ok = dims[i] == 1 and all(dims[j] == 0 for j in range(1, i))
+            assert report.vertices[i].hom_delta_ok == hom_ok, (algebra.relations, i)
+
+
 def test_r_projective_failure_detected():
     # relation starting with a down-arrow breaks condition (1)
     q = qd.Quiver(2, (qd.Arrow("dn", 2, 1), qd.Arrow("up", 1, 2)))
