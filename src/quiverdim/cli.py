@@ -4,6 +4,14 @@ Commands read a QV1 file and print human-readable text, or a JSON report
 with ``--json``.  Exit codes: 0 success / affirmative, 1 negative decision
 (not achievable, not quasi-hereditary, a failed check), 2 input error.
 
+``main`` alone loads the file, turns input errors into exit code 2, adds
+``command`` and ``input_hash`` to the JSON report and prints.  Each
+``cmd_*`` takes ``(args, quiver, relations)`` and returns ``(exit code,
+payload, text)``: ``payload`` is the rest of the JSON report, or None when
+the command has only text (``render``, an infinite ``resolve``), and
+``text`` is a zero-argument callable that prints the text output; ``main``
+calls it only without ``--json``, so a JSON run never formats text.
+
 The mod-p oracle, and with it numpy, is imported only by ``verify`` and
 ``oracle-check``; the other commands never load it.
 """
@@ -11,6 +19,7 @@ The mod-p oracle, and with it numpy, is imported only by ``verify`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -18,17 +27,13 @@ import sys
 from typing import Optional
 
 from . import construct, homology, qh, qvfile, render
-from .algebra import Algebra, BasisCapExceeded, ModuleSpec, NotAdmissibleError
+from .algebra import Algebra, BasisCapExceeded, ModuleSpec, RelationSet
 from .homology import ExtNat, InfiniteResolutionError
 from .quiver import Quiver
 
 
 def _ext(value: ExtNat):
     return "inf" if value == math.inf else int(value)
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 SHORTHANDS = {
@@ -55,51 +60,35 @@ def parse_module_spec(q: Quiver, text: str) -> ModuleSpec:
     )
 
 
-def cmd_gldim(args) -> int:
-    quiver, relations, digest = qvfile.load(args.file)
+def _admissible(quiver: Quiver, relations: RelationSet) -> Algebra:
     algebra = Algebra(quiver, relations)
     algebra.require_admissible()
-    pdims = homology.pdims_of_simples(algebra)
+    return algebra
+
+
+def cmd_gldim(args, quiver, relations):
+    pdims = homology.pdims_of_simples(_admissible(quiver, relations))
     value = max(pdims.values(), default=0)
-    if args.json:
-        _emit_json(
-            {
-                "command": "gldim",
-                "input_hash": digest,
-                "gldim": _ext(value),
-                "pdims": {str(v): _ext(d) for v, d in pdims.items()},
-            }
-        )
-    else:
+
+    def text():
         print(f"gldim: {_ext(value)}")
         for v in sorted(pdims):
             print(f"pdim S({v}) = {_ext(pdims[v])}")
-    return 0
+
+    return 0, {"gldim": _ext(value), "pdims": {str(v): _ext(d) for v, d in pdims.items()}}, text
 
 
-def cmd_resolve(args) -> int:
-    quiver, relations, digest = qvfile.load(args.file)
-    algebra = Algebra(quiver, relations)
-    algebra.require_admissible()
+def cmd_resolve(args, quiver, relations):
+    algebra = _admissible(quiver, relations)
     spec = parse_module_spec(quiver, args.module)
     try:
         res = homology.resolve(algebra, spec, max_deg=args.max_deg)
     except InfiniteResolutionError as exc:
-        print(f"infinite resolution: {exc} (rerun with --max-deg)", file=sys.stderr)
-        return 1
-    pdim_value: Optional[ExtNat] = len(res.betti) - 1 if res.complete else None
-    if args.json:
-        _emit_json(
-            {
-                "command": "resolve",
-                "input_hash": digest,
-                "module": args.module,
-                "betti": [{str(v): mult for v, mult in layer.items()} for layer in res.betti],
-                "complete": res.complete,
-                "pdim": _ext(pdim_value) if pdim_value is not None else None,
-            }
-        )
-    else:
+        message = f"infinite resolution: {exc} (rerun with --max-deg)"
+        return 1, None, lambda: print(message, file=sys.stderr)
+    pdim = res.pdim() if res.complete else None
+
+    def text():
         print(f"module: {spec.describe()}")
         for d, layer in enumerate(res.betti):
             terms = " + ".join(
@@ -108,136 +97,85 @@ def cmd_resolve(args) -> int:
             )
             print(f"degree {d}: {terms or '0'}")
         print(f"complete: {'yes' if res.complete else 'no (truncated)'}")
-        if pdim_value is not None:
-            print(f"pdim: {pdim_value}")
-    return 0
+        if pdim is not None:
+            print(f"pdim: {pdim}")
 
-
-def _embedding_json(emb) -> Optional[dict]:
-    if emb is None:
-        return None
-    return {
-        "vertices": list(emb.vertices),
-        "arrows": list(emb.arrows),
-        "cycle_arrow": emb.cycle_arrow,
-        "return_index": emb.return_index,
+    payload = {
+        "module": args.module,
+        "betti": [{str(v): mult for v, mult in layer.items()} for layer in res.betti],
+        "complete": res.complete,
+        "pdim": pdim,
     }
+    return 0, payload, text
 
 
-def cmd_construct(args) -> int:
-    quiver, _, digest = qvfile.load(args.file)
+def cmd_construct(args, quiver, relations):
     result = construct.achieve_gldim(quiver, args.target)
     if not result.ok:
-        if args.json:
-            _emit_json(
-                {
-                    "command": "construct",
-                    "input_hash": digest,
-                    "target": args.target,
-                    "achieved": False,
-                    "diagnostics": list(result.attempts),
-                }
-            )
-        else:
+
+        def failed():
             print(f"target {args.target}: not achieved")
             for note in result.attempts:
                 print(f"  - {note}")
-        return 1
+
+        payload = {"target": args.target, "achieved": False, "diagnostics": list(result.attempts)}
+        return 1, payload, failed
     cert = result.certificate
-    if args.json:
-        _emit_json(
-            {
-                "command": "construct",
-                "input_hash": digest,
-                "target": args.target,
-                "achieved": True,
-                "gldim": _ext(cert.verified_gldim),
-                "pdims": {str(v): _ext(d) for v, d in cert.pdims.items()},
-                "certificate": {
-                    "kind": cert.kind,
-                    "m": cert.m,
-                    "embedding": _embedding_json(cert.embedding),
-                    "relabeling": {
-                        str(old): cert.relabeling.apply(old)
-                        for old in range(1, cert.relabeling.n + 1)
-                    },
-                    "generators": [list(g.word) for g in cert.ideal],
-                },
-            }
-        )
-    else:
+    emb = cert.embedding
+    relabeling = {old: cert.relabeling.apply(old) for old in range(1, cert.relabeling.n + 1)}
+
+    def text():
         print(f"certificate: kind={cert.kind} target={cert.target} m={cert.m}")
-        if cert.embedding is not None:
-            emb = cert.embedding
+        if emb is not None:
             line = f"embedding: vertices {' '.join(map(str, emb.vertices))}"
             if emb.arrows:
                 line += f" arrows {' '.join(emb.arrows)}"
             if emb.cycle_arrow:
                 line += f" cycle {emb.cycle_arrow} (returns to index {emb.return_index})"
             print(line)
-        print(
-            "relabeling: "
-            + " ".join(
-                f"{old}->{cert.relabeling.apply(old)}"
-                for old in range(1, cert.relabeling.n + 1)
-            )
-        )
+        print("relabeling: " + " ".join(f"{old}->{new}" for old, new in relabeling.items()))
         print(f"ideal ({len(cert.ideal)} relations):")
         for g in cert.ideal:
             print(f"  rel {' '.join(g.word)}  # composition order: {''.join(reversed(g.word))}")
         print(f"verified gldim: {_ext(cert.verified_gldim)}")
-    return 0
 
-
-def cmd_corollary(args) -> int:
-    quiver, _, digest = qvfile.load(args.file)
-    ok, witness = construct.gldim2_achievable(quiver)
     payload = {
-        "command": "corollary",
-        "input_hash": digest,
-        "achievable": ok,
+        "target": args.target,
+        "achieved": True,
+        "gldim": _ext(cert.verified_gldim),
+        "pdims": {str(v): _ext(d) for v, d in cert.pdims.items()},
+        "certificate": {
+            "kind": cert.kind,
+            "m": cert.m,
+            "embedding": None if emb is None else dataclasses.asdict(emb),
+            "relabeling": {str(old): new for old, new in relabeling.items()},
+            "generators": [list(g.word) for g in cert.ideal],
+        },
     }
+    return 0, payload, text
+
+
+def cmd_corollary(args, quiver, relations):
+    ok, witness = construct.gldim2_achievable(quiver)
+    payload = {"achievable": ok}
     if ok:
         path, sigma = witness
         payload["witness_path"] = list(path.word)
-        payload["relabeling"] = {
-            str(old): sigma.apply(old) for old in range(1, sigma.n + 1)
-        }
-    if args.json:
-        _emit_json(payload)
-    else:
+        payload["relabeling"] = {str(old): sigma.apply(old) for old in range(1, sigma.n + 1)}
+
+    def text():
         if ok:
-            path, _ = witness
             print(f"yes: loopless with composable pair {'.'.join(path.word)}")
         else:
             print("no: needs a loopless quiver with a composable arrow pair")
-    return 0 if ok else 1
+
+    return (0 if ok else 1), payload, text
 
 
-def cmd_check_sqh(args) -> int:
-    quiver, relations, digest = qvfile.load(args.file)
-    algebra = Algebra(quiver, relations)
-    algebra.require_admissible()
-    report = qh.check_strongly_qh(algebra)
-    if args.json:
-        _emit_json(
-            {
-                "command": "check-sqh",
-                "input_hash": digest,
-                "sqh": {
-                    "overall": report.overall,
-                    "vertices": {
-                        str(v): {
-                            "r_projective_ok": r.r_projective_ok,
-                            "delta_factors_ok": r.delta_factors_ok,
-                            "hom_delta_ok": r.hom_delta_ok,
-                        }
-                        for v, r in report.vertices.items()
-                    },
-                },
-            }
-        )
-    else:
+def cmd_check_sqh(args, quiver, relations):
+    report = qh.check_strongly_qh(_admissible(quiver, relations))
+
+    def text():
         for v in sorted(report.vertices):
             r = report.vertices[v]
             print(
@@ -246,49 +184,57 @@ def cmd_check_sqh(args) -> int:
                 f"Hom-delta {'ok' if r.hom_delta_ok else 'FAIL'}"
             )
         print(f"strongly quasi-hereditary: {'yes' if report.overall else 'no'}")
-    return 0 if report.overall else 1
+
+    vertices = {str(v): dataclasses.asdict(r) for v, r in report.vertices.items()}
+    payload = {"sqh": {"overall": report.overall, "vertices": vertices}}
+    return (0 if report.overall else 1), payload, text
 
 
 def _engine_comparisons(algebra: Algebra, max_deg: int, p: Optional[int]):
     """Each S, Delta and Gamma module, named like ``Delta_2``, with its
     chain and matrix resolutions over GF(p) (``oracle.DEFAULT_PRIME`` when
-    p is None) and whether the two agree."""
+    p is None) and whether the two agree.  ``p`` and ``max_deg`` are
+    checked at the call; the modules are resolved lazily, as iterated."""
     from . import oracle
 
-    if p is None:
-        p = oracle.DEFAULT_PRIME
     q = algebra.quiver
-    for label in ("S", "Delta", "Gamma"):
-        for i in q.vertices():
-            spec = SHORTHANDS[label](q, i)
-            chain = homology.resolve(algebra, spec, max_deg=max_deg)
-            matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
-            same = chain.betti == matrix.betti and chain.complete == matrix.complete
-            yield f"{label}_{i}", spec, chain, matrix, same
+    if max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    p = oracle.DEFAULT_PRIME if p is None else p
+    oracle._require_prime(p)
+
+    def compare(label: str, i: int):
+        spec = SHORTHANDS[label](q, i)
+        chain = homology.resolve(algebra, spec, max_deg=max_deg)
+        matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
+        same = chain.betti == matrix.betti and chain.complete == matrix.complete
+        return f"{label}_{i}", spec, chain, matrix, same
+
+    return (compare(label, i) for label in ("S", "Delta", "Gamma") for i in q.vertices())
 
 
-def _verify_checks(algebra: Algebra, field: Optional[int], max_deg: int) -> list[dict]:
-    checks: list[dict] = []
+def _checks_report(checks: list[dict], passed: str, failed: str):
+    ok = all(c["ok"] for c in checks)
+
+    def text():
+        for c in checks:
+            detail = f" ({c['detail']})" if c["detail"] else ""
+            print(f"check {c['name']}: {'ok' if c['ok'] else 'FAIL'}{detail}")
+        print(passed if ok else failed)
+
+    return (0 if ok else 1), {"checks": checks, "ok": ok}, text
+
+
+def cmd_verify(args, quiver, relations):
+    algebra = Algebra(quiver, relations)
+    # Checks --max-deg and --field before the admissibility check.
+    comparisons = _engine_comparisons(algebra, args.max_deg, args.field)
     adm = algebra.admissibility
-    checks.append(
-        {
-            "name": "admissible",
-            "ok": adm.ok,
-            "detail": f"all paths of length {adm.bound} vanish" if adm.ok else adm.reason,
-        }
-    )
-    if not adm.ok:
-        return checks
-    for name, spec, chain, matrix, same in _engine_comparisons(algebra, max_deg, field):
-        checks.append(
-            {
-                "name": f"betti_match_{name}",
-                "ok": same,
-                "detail": "chain and matrix engines agree"
-                if same
-                else f"chain={chain} matrix={matrix}",
-            }
-        )
+    detail = f"all paths of length {adm.bound} vanish" if adm.ok else adm.reason
+    checks = [{"name": "admissible", "ok": adm.ok, "detail": detail}]
+    for name, spec, chain, matrix, same in comparisons if adm.ok else ():
+        detail = "chain and matrix engines agree" if same else f"chain={chain} matrix={matrix}"
+        checks.append({"name": f"betti_match_{name}", "ok": same, "detail": detail})
         if chain.complete:
             checks.append(
                 {
@@ -297,34 +243,11 @@ def _verify_checks(algebra: Algebra, field: Optional[int], max_deg: int) -> list
                     "detail": "alternating sum matches composition vector",
                 }
             )
-    return checks
+    return _checks_report(checks, "all checks passed", "some checks FAILED")
 
 
-def cmd_verify(args) -> int:
-    quiver, relations, digest = qvfile.load(args.file)
-    algebra = Algebra(quiver, relations)
-    checks = _verify_checks(algebra, args.field, args.max_deg)
-    ok = all(c["ok"] for c in checks)
-    if args.json:
-        _emit_json(
-            {
-                "command": "verify",
-                "input_hash": digest,
-                "checks": checks,
-                "ok": ok,
-            }
-        )
-    else:
-        for c in checks:
-            print(f"check {c['name']}: {'ok' if c['ok'] else 'FAIL'} ({c['detail']})")
-        print("all checks passed" if ok else "some checks FAILED")
-    return 0 if ok else 1
-
-
-def cmd_oracle_check(args) -> int:
-    quiver, relations, digest = qvfile.load(args.file)
-    algebra = Algebra(quiver, relations)
-    algebra.require_admissible()
+def cmd_oracle_check(args, quiver, relations):
+    algebra = _admissible(quiver, relations)
     from . import oracle
 
     fields = [2, oracle.DEFAULT_PRIME] if args.field is None else [args.field]
@@ -333,25 +256,13 @@ def cmd_oracle_check(args) -> int:
         for p in fields
         for name, _, _, _, same in _engine_comparisons(algebra, args.max_deg, p)
     ]
-    ok = all(c["ok"] for c in checks)
-    if args.json:
-        _emit_json(
-            {"command": "oracle-check", "input_hash": digest, "checks": checks, "ok": ok}
-        )
-    else:
-        for c in checks:
-            print(f"check {c['name']}: {'ok' if c['ok'] else 'FAIL'}")
-        print("engines agree" if ok else "engines DISAGREE")
-    return 0 if ok else 1
+    return _checks_report(checks, "engines agree", "engines DISAGREE")
 
 
-def cmd_render(args) -> int:
-    quiver, relations, _ = qvfile.load(args.file)
-    algebra = Algebra(quiver, relations)
-    algebra.require_admissible()
-    spec = parse_module_spec(quiver, args.module)
-    sys.stdout.write(render.module_quiver_dot(algebra, spec))
-    return 0
+def cmd_render(args, quiver, relations):
+    algebra = _admissible(quiver, relations)
+    dot = render.module_quiver_dot(algebra, parse_module_spec(quiver, args.module))
+    return 0, None, lambda: sys.stdout.write(dot)
 
 
 @functools.cache
@@ -371,47 +282,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("gldim", cmd_gldim, help="global dimension and per-simple pdims")
-    p.add_argument("--json", action="store_true")
-
+    module_help = "S:i | P:i | Delta:i | Gamma:i | M:i:a,b"
+    add("gldim", cmd_gldim, help="global dimension and per-simple pdims")
     p = add("resolve", cmd_resolve, help="minimal projective resolution (Betti data)")
-    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i | M:i:a,b")
+    p.add_argument("--module", required=True, help=module_help)
     p.add_argument("--max-deg", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-
     p = add("construct", cmd_construct, help="ideal achieving a target global dimension")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("corollary", cmd_corollary, help="is global dimension 2 achievable?")
-    p.add_argument("--json", action="store_true")
-
-    p = add("check-sqh", cmd_check_sqh, help="strongly quasi-hereditary report")
-    p.add_argument("--json", action="store_true")
-
-    p = add("verify", cmd_verify, help="cross-check both engines on this algebra")
-    p.add_argument("--field", type=int, default=None)
-    p.add_argument("--max-deg", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-
-    p = add("oracle-check", cmd_oracle_check, help="Betti equality across engines and fields")
-    p.add_argument("--field", type=int, default=None)
-    p.add_argument("--max-deg", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-
+    add("corollary", cmd_corollary, help="is global dimension 2 achievable?")
+    add("check-sqh", cmd_check_sqh, help="strongly quasi-hereditary report")
+    for name, fn, summary in (
+        ("verify", cmd_verify, "cross-check both engines on this algebra"),
+        ("oracle-check", cmd_oracle_check, "Betti equality across engines and fields"),
+    ):
+        p = add(name, fn, help=summary)
+        p.add_argument("--field", type=int, default=None)
+        p.add_argument("--max-deg", type=int, default=8)
     p = add("render", cmd_render, help="DOT diagram of a module quiver")
-    p.add_argument("--module", required=True, help="S:i | P:i | Delta:i | Gamma:i | M:i:a,b")
+    p.add_argument("--module", required=True, help=module_help)
+    for name, p in sub.choices.items():
+        if name != "render":  # DOT is the only output of render
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (
-        qvfile.QvParseError, NotAdmissibleError, ValueError, OSError, BasisCapExceeded
-    ) as exc:
+        quiver, relations, digest = qvfile.load(args.file)
+        code, payload, text = args.fn(args, quiver, relations)
+        if payload is not None and args.json:
+            report = {"command": args.command, "input_hash": digest, **payload}
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            text()
+        return code
+    except (ValueError, OSError, BasisCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import homology
+from . import homology, qh
 from .algebra import Algebra, RelationSet, reduce_relations
 from .homology import ExtNat
 from .quiver import (
@@ -24,6 +24,7 @@ from .quiver import (
     Relabeling,
     SearchBudgetExceeded,
     find_a_embeddings,
+    find_cycle,
     find_x_embedding,
     is_extendable,
     relabel,
@@ -175,6 +176,18 @@ def _pull_back(q: Quiver, relabeled: RelationSet, sigma: Relabeling) -> Relation
     )
 
 
+def _arrows_ascending(q: Quiver) -> Relabeling:
+    """An order of the vertices of an acyclic quiver in which every arrow
+    ascends.  The path algebra kQ is strongly quasi-hereditary under it,
+    since each Delta(i) is then P(i)."""
+    targets = {v: tuple(a.target for a in q.out_arrows(v)) for v in q.vertices()}
+    longest: dict = {}
+    find_cycle(q.vertices(), targets.get, longest)
+    # An arrow u -> v has longest[u] > longest[v].
+    ranked = sorted(q.vertices(), key=lambda v: -longest[v])
+    return Relabeling(tuple(ranked)).inverse()
+
+
 def _certify(
     q: Quiver,
     kind: str,
@@ -208,15 +221,17 @@ def _certify(
 def achieve_gldim(q: Quiver, target: int) -> PlanResult:
     """Find an admissible monomial ideal with the requested global dimension.
 
-    Routes, in order: empty ideal (targets 0 and 1), the local-max ideal
-    (target 2) in the quiver's own labels when it is non-empty, else after
-    moving a composable pair's middle vertex to n, and for
-    target k >= 3 a non-extendable line on k+1 vertices with consecutive
-    relations, a one-cycle on k vertices with consecutive relations, or a
-    one-cycle on k+1 vertices with the length-3 tail family.  A route whose
-    embedding search exceeds its budget is noted in the attempts, and the
-    next route is tried.  Failure only means these constructions do not
-    apply, not that the target is impossible.
+    Routes, in order: empty ideal (targets 0 and 1; target 1 keeps the
+    quiver's own labels when kQ is sqh under them, else orders the vertices
+    so that every arrow ascends), the local-max ideal (target 2) in the
+    quiver's own labels when it is non-empty, else after moving a composable
+    pair's middle vertex to n, and for target k >= 3 a non-extendable line
+    on k+1 vertices with consecutive relations, a one-cycle on k vertices
+    with consecutive relations, or a one-cycle on k+1 vertices with the
+    length-3 tail family.  A route whose embedding search exceeds its budget
+    is noted in the attempts, and the next route is tried.  Failure only
+    means these constructions do not apply, not that the target is
+    impossible.
     """
     if target < 0:
         raise ValueError("target must be >= 0")
@@ -233,7 +248,10 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
     if target == 1:
         preds = structure_predicates(q)
         if q.arrows and not preds.has_oriented_cycle:
-            cert = _certify(q, HEREDITARY, 1, empty, identity, None, None)
+            order = identity
+            if not qh.check_strongly_qh(Algebra(q, empty)).overall:
+                order = _arrows_ascending(q)
+            cert = _certify(q, HEREDITARY, 1, empty, order, None, None)
             return PlanResult(cert, tuple(attempts))
         why = "no arrows" if not q.arrows else "oriented cycle forces relations"
         return PlanResult(None, (f"global dimension 1 needs an acyclic quiver with arrows: {why}",))

@@ -31,7 +31,7 @@ class QvParseError(ValueError):
 def parse(text: str) -> tuple[Quiver, RelationSet]:
     n = None
     arrows: list[Arrow] = []
-    arrow_lines: dict[str, int] = {}
+    arrow_ids: set[str] = set()
     rel_words: list[tuple[int, list[str]]] = []
     in_relations = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -54,7 +54,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
             if len(fields) != 4:
                 raise QvParseError(line_no, "expected: arrow <id> <source> <target>")
             aid = fields[1]
-            if aid in arrow_lines:
+            if aid in arrow_ids:
                 raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
             try:
                 s, t = int(fields[2]), int(fields[3])
@@ -62,7 +62,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, "arrow endpoints must be integers") from None
             if not (1 <= s <= n and 1 <= t <= n):
                 raise QvParseError(line_no, f"endpoint outside 1..{n}")
-            arrow_lines[aid] = line_no
+            arrow_ids.add(aid)
             arrows.append(Arrow(aid, s, t))
         elif directive == "relations":
             if n is None:

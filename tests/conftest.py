@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -96,6 +98,41 @@ def brute_force_nonzero_paths(q: qd.Quiver, relation_words, cap: int = 100_000):
     for v in q.vertices():
         grow(v, v, ())
     return found
+
+
+def short_paths(q: qd.Quiver) -> list[qd.Path]:
+    """Every path of length 2 or 3, the candidate generators of a brute-force
+    ideal."""
+    words = [(a, b) for a in q.arrows for b in q.out_arrows(a.target)]
+    words += [(a, b, c) for a, b in words for c in q.out_arrows(b.target)]
+    return [q.path(w[0].source, tuple(a.id for a in w)) for w in words]
+
+
+def brute_force_sqh_spectrum(q: qd.Quiver) -> dict[int, bool]:
+    """Every finite global dimension of an admissible algebra kQ/I, where I
+    runs over the reduced monomial ideals generated by paths of length 2 or
+    3, mapped to whether one of the ideals reaching it is strongly
+    quasi-hereditary under some order of the vertices.
+
+    Tries all 2**len(short_paths(q)) generator sets, so keep q small.
+    """
+    paths = short_paths(q)
+    orders = [qd.Relabeling(m) for m in itertools.permutations(range(1, q.n + 1))]
+    spectrum: dict[int, bool] = {}
+    for size in range(len(paths) + 1):
+        for ideal in itertools.combinations(paths, size):
+            words = {g.word for g in ideal}
+            if any(len(w) == 3 and (w[:2] in words or w[1:] in words) for w in words):
+                continue  # not reduced: the same ideal has fewer generators
+            algebra = qd.Algebra(q, ideal)
+            if not algebra.admissibility.ok:
+                continue
+            d = qd.gldim(algebra)
+            if d != math.inf and not spectrum.get(d):
+                spectrum[d] = any(
+                    qd.check_strongly_qh(algebra, order=o).overall for o in orders
+                )
+    return spectrum
 
 
 @pytest.fixture

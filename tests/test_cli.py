@@ -67,7 +67,12 @@ def test_gamma_takes_no_second_index(golden_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["check-sqh", "--field", "7"], ["render", "--module", "S:1", "--format", "dot"]]
+    "argv",
+    [
+        ["check-sqh", "--field", "7"],
+        ["render", "--module", "S:1", "--format", "dot"],
+        ["render", "--module", "S:1", "--json"],
+    ],
 )
 def test_removed_options_are_usage_errors(argv, golden_file):
     with pytest.raises(SystemExit) as exc:
@@ -87,6 +92,21 @@ def test_removed_options_are_usage_errors(argv, golden_file):
 )
 def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys):
     assert cli.main(argv[:1] + [golden_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--field", "4"], "4 is not prime"),
+        (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
+    ],
+)
+def test_bad_numeric_options_precede_the_admissibility_check(argv, message, capsys):
+    free = str(TESTS / "golden" / "free-golden.qv")
+    assert cli.main(argv[:1] + [free] + argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -9,10 +9,12 @@ from quiverdim.algebra import ModuleSpec
 
 from conftest import (
     GOLDEN_RELATION_WORDS,
+    brute_force_sqh_spectrum,
     complete_quiver,
     golden_quiver,
     linear_quiver,
     random_loopless_quiver,
+    short_paths,
 )
 
 
@@ -267,3 +269,29 @@ def test_corollary_exhaustive_small_quivers():
             res = construct.achieve_gldim(q, 2)
             assert res.ok and res.certificate.verified_gldim == 2
     assert count == 259 and pos > 0
+
+
+def test_planner_reaches_exactly_the_sqh_spectrum():
+    """On 400 small quivers (random.Random(12), 2-5 vertices, no loops, at
+    most 13 paths of length 2-3), the planner certifies a target exactly when
+    some reduced ideal generated by paths of length 2-3 reaches it and is
+    strongly quasi-hereditary under some vertex order.  A target in the sqh
+    spectrum that the planner misses is a missing construction."""
+    rng = random.Random(12)
+    checked = 0
+    while checked < 400:
+        q = random_loopless_quiver(rng, n_max=5)
+        if q.n < 2 or len(short_paths(q)) > 13:
+            continue
+        checked += 1
+        spectrum = brute_force_sqh_spectrum(q)
+        certified = set()
+        for target in range(max(q.n, *spectrum) + 2):
+            cert = qd.achieve_gldim(q, target).certificate
+            if cert is None:
+                continue
+            algebra = qd.Algebra(q, cert.ideal)
+            assert qd.check_strongly_qh(algebra, order=cert.relabeling).overall, (q, target)
+            assert cert.verified_gldim in spectrum, (q, target)
+            certified.add(target)
+        assert certified == {d for d, sqh in spectrum.items() if sqh}, q
