@@ -2,11 +2,12 @@
 
 The quotient has the relation-avoiding paths as a basis, so everything is
 word combinatorics: a path is zero exactly when some generator word occurs
-in it as a contiguous infix.  ``RelationIndex`` answers every such test by
-hashing the windows whose length is a relation length, instead of scanning
-the relations.  Admissibility (all long enough paths vanish) is decided on
-a forbidden-suffix automaton whose states are short nonzero windows; the
-algebra is finite-dimensional iff that automaton is acyclic.  The search is
+in it as a contiguous infix.  ``RelationSet`` owns the generator words and
+answers every such test by hashing the windows whose length is a relation
+length, instead of scanning the relations.  Admissibility (all long enough
+paths vanish) is decided on a forbidden-suffix automaton whose states are
+short nonzero windows; the algebra is finite-dimensional iff that automaton
+is acyclic.  The search is
 ``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
 returns a cycle of states, read back as a witness path, or the longest path
 of every state, which gives the nilpotency bound.
@@ -32,122 +33,75 @@ class BasisCapExceeded(RuntimeError):
     """Path enumeration hit the safety cap."""
 
 
-class RelationIndex:
-    """Generator words hashed for every zero test.
-
-    ``words`` is the set of words and ``lengths`` their distinct lengths in
-    ascending order, so an infix or suffix test looks up one window per
-    relation length and start instead of scanning the relations.  ``rests``
-    maps each nonempty proper prefix u of a relation r = u ++ v to the
-    remainders v.
-    """
-
-    def __init__(self, words: Iterable[tuple[str, ...]] = ()):
-        self.words: set[tuple[str, ...]] = set()
-        self.lengths: tuple[int, ...] = ()
-        self.rests: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for w in words:
-            self.add(w)
-
-    def add(self, word: tuple[str, ...]) -> None:
-        if word in self.words:
-            return
-        self.words.add(word)
-        if len(word) not in self.lengths:
-            self.lengths = tuple(sorted(self.lengths + (len(word),)))
-        for cut in range(1, len(word)):
-            self.rests.setdefault(word[:cut], []).append(word[cut:])
-
-    def first_infix(
-        self, word: tuple[str, ...], shorter_than: Optional[int] = None
-    ) -> Optional[tuple[str, ...]]:
-        """The shortest, then leftmost, relation word occurring in ``word``.
-
-        Only relations shorter than ``shorter_than`` count if it is given.
-        """
-        words, n = self.words, len(word)
-        top = n if shorter_than is None else shorter_than - 1
-        for k in self.lengths:
-            if k > top:
-                return None
-            for s in range(n - k + 1):
-                if word[s : s + k] in words:
-                    return word[s : s + k]
-        return None
-
-    def has_suffix(self, word: tuple[str, ...]) -> bool:
-        words, n = self.words, len(word)
-        for k in self.lengths:
-            if k > n:
-                return False
-            if word[n - k :] in words:
-                return True
-        return False
-
-
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
     """Drop every relation containing another one as an infix; reject short ones."""
-    unique = sorted(set(paths), key=Path.sort_key)
-    if unique:
-        _require_length(unique[0])
-    # Shortest first, so a path is redundant iff a kept, shorter word occurs
-    # in it (an infix of an infix is one), and the index holds only the kept
-    # words.  Distinct paths of length >= 2 of one quiver have distinct words
-    # (an arrow fixes its source); a repeated word means one is malformed.
-    index = RelationIndex()
-    kept = []
-    for p in unique:
-        if p.word in index.words:
-            raise _not_reduced(p.word, p.word)
-        if index.first_infix(p.word, shorter_than=p.length) is None:
-            kept.append(p)
-            index.add(p.word)
-    return RelationSet.trusted(tuple(kept), index)
-
-
-def _require_length(g: Path) -> None:
-    if g.length < 2:
-        raise NotAdmissibleError(
-            f"zero relation {g} has length {g.length}; relations must have length >= 2"
-        )
-
-
-def _not_reduced(u: tuple[str, ...], w: tuple[str, ...]) -> ValueError:
-    return ValueError(f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(w)}")
+    reduced = object.__new__(RelationSet)
+    reduced._admit(set(paths), drop=True)
+    return reduced
 
 
 @dataclass(frozen=True)
 class RelationSet:
     """A reduced set of zero-relation paths (no word an infix of another).
 
-    ``index`` is the ``RelationIndex`` of the generator words.  The
-    constructor checks both conditions; ``trusted`` takes an index already
-    built from reduced generators and checks nothing.
+    The constructor rejects short or unreduced generators; ``reduce_relations``
+    drops the unreduced ones instead.  The generator words are hashed for
+    every zero test: ``_words`` is the set of words and ``lengths`` their
+    distinct lengths in ascending order, so an infix or suffix test looks up
+    one window per relation length and start instead of scanning the
+    relations.  ``rests`` maps each nonempty proper prefix u of a relation
+    r = u ++ v to the remainders v.
     """
 
     generators: tuple[Path, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        words = [g.word for g in self.generators]
-        for g in self.generators:
-            _require_length(g)
-        index = RelationIndex(words)
-        seen: set[tuple[str, ...]] = set()
-        for w in words:
-            u = w if w in seen else index.first_infix(w, shorter_than=len(w))
-            if u is not None:
-                raise _not_reduced(u, w)
-            seen.add(w)
-        object.__setattr__(self, "index", index)
+        self._admit(self.generators, drop=False)
 
-    @classmethod
-    def trusted(cls, generators: tuple[Path, ...], index: RelationIndex) -> "RelationSet":
-        """Wrap reduced generators of length >= 2 with the index of their words."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "index", index)
-        return self
+    def _admit(self, paths: Iterable[Path], drop: bool) -> None:
+        """Index ``paths`` shortest first and make them the generators.
+
+        A path is redundant iff a kept, shorter word occurs in it (an infix
+        of an infix is one), so the lookups hold only kept words.  With
+        ``drop`` a redundant path is left out and the rest are kept in
+        sorted order; otherwise it raises, and the generators keep their
+        given order.  Distinct paths of length >= 2 of one quiver have
+        distinct words (an arrow fixes its source); a repeated word means a
+        repeated or malformed path.
+        """
+        given = tuple(paths)
+        vars(self).update(_words=set(), lengths=[], rests={})
+        kept = []
+        for p in sorted(given, key=Path.sort_key):
+            if p.length < 2:
+                raise NotAdmissibleError(
+                    f"zero relation {p} has length {p.length}; relations must have length >= 2"
+                )
+            u = self.first_infix(p.word)
+            if u is None:
+                kept.append(p)
+                self._add(p.word)
+            elif not drop or u == p.word:
+                raise ValueError(
+                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(p.word)}"
+                )
+        object.__setattr__(self, "generators", tuple(kept) if drop else given)
+
+    def _add(self, word: tuple[str, ...]) -> None:
+        self._words.add(word)
+        if len(word) not in self.lengths:
+            self.lengths.append(len(word))
+            self.lengths.sort()
+        for cut in range(1, len(word)):
+            self.rests.setdefault(word[:cut], []).append(word[cut:])
+
+    def with_generators(self, generators: Iterable[Path]) -> "RelationSet":
+        """This set with ``generators`` in place of its own, which must have
+        the same words (e.g. the same relations under other vertex labels);
+        the lookups are shared, not rebuilt."""
+        moved = object.__new__(RelationSet)
+        vars(moved).update(vars(self), generators=tuple(generators))
+        return moved
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -157,6 +111,32 @@ class RelationSet:
 
     def words(self) -> tuple[tuple[str, ...], ...]:
         return tuple(g.word for g in self.generators)
+
+    def first_infix(self, word: tuple[str, ...]) -> Optional[tuple[str, ...]]:
+        """The shortest, then leftmost, relation word occurring in ``word``."""
+        words, n = self._words, len(word)
+        for k in self.lengths:
+            if k >= n:  # the one window of length n is the word itself
+                return word if k == n and word in words else None
+            for s in range(n - k + 1):
+                if word[s : s + k] in words:
+                    return word[s : s + k]
+        return None
+
+    def has_suffix(self, word: tuple[str, ...]) -> bool:
+        words, n = self._words, len(word)
+        for k in self.lengths:
+            if k > n:
+                return False
+            if word[n - k :] in words:
+                return True
+        return False
+
+    def remainders(self, word: tuple[str, ...]) -> list[tuple[str, ...]]:
+        """Every v with r = u ++ v a relation, u a nonempty suffix of ``word``
+        and v nonempty."""
+        rests = self.rests
+        return [v for cut in range(1, len(word) + 1) for v in rests.get(word[-cut:], ())]
 
 
 @dataclass(frozen=True)
@@ -221,12 +201,11 @@ class Admissibility:
 class BasisIndex:
     """All nonzero paths, sorted by (length, word, source vertex)."""
 
-    def __init__(self, quiver: Quiver, paths: list[Path]):
-        self.quiver = quiver
+    def __init__(self, paths: list[Path]):
         self.paths = tuple(paths)
-        by_source: dict[int, list[Path]] = {v: [] for v in quiver.vertices()}
-        for p in self.paths:
-            by_source[p.source].append(p)
+        by_source: dict[int, list[Path]] = {}
+        for p in self.paths:  # the trivial paths come first, by source
+            by_source.setdefault(p.source, []).append(p)
         self.by_source = {v: tuple(ps) for v, ps in by_source.items()}
 
     def __len__(self) -> int:
@@ -262,15 +241,14 @@ class Algebra:
                 raise ValueError(f"relation {g} is not a path of the quiver")
         self.relations = relations
         self.basis_cap = basis_cap
-        self.index = relations.index
-        self.lmax = max(self.index.lengths, default=0)
+        self.lmax = max(relations.lengths, default=0)
         self.successors: dict[Path, tuple[Path, ...]] = {}
         self.depths: dict[Path, int | float] = {}
 
     # -- zero tests ---------------------------------------------------------
 
     def is_zero_word(self, word: tuple[str, ...]) -> bool:
-        return self.index.first_infix(word) is not None
+        return self.relations.first_infix(word) is not None
 
     def is_zero_path(self, p: Path) -> bool:
         if not self.quiver.has_path(p):
@@ -279,7 +257,7 @@ class Algebra:
 
     def _kills_suffix(self, word: tuple[str, ...]) -> bool:
         """True if some generator is a suffix of ``word`` (new zero occurrence)."""
-        return self.index.has_suffix(word)
+        return self.relations.has_suffix(word)
 
     # -- admissibility ------------------------------------------------------
 
@@ -350,7 +328,7 @@ class Algebra:
                     if not self._kills_suffix(grown):
                         nxt.append(Path(p.source, a.target, grown))
             level = sorted(nxt, key=Path.sort_key)
-        return BasisIndex(self.quiver, paths)
+        return BasisIndex(paths)
 
     @property
     def dim(self) -> int:

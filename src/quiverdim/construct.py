@@ -166,13 +166,12 @@ def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
     return next((e for e in find_a_embeddings(q, m) if is_extendable(q, e) is None), None)
 
 
-def _pull_back(q: Quiver, relabeled: RelationSet, sigma: Relabeling) -> RelationSet:
+def _pull_back(relabeled: RelationSet, sigma: Relabeling) -> RelationSet:
     """Rewrite relation paths in the original labels (arrow ids are stable)."""
     inv = sigma.inverse()
-    # the words, and so their index and reducedness, do not change
-    return RelationSet.trusted(
-        tuple(Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled),
-        relabeled.index,
+    # the words, and so their lookups and reducedness, do not change
+    return relabeled.with_generators(
+        Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled
     )
 
 
@@ -267,7 +266,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         ideal = local_max_ideal(q)
         if not ideal:  # no vertex is a local max in the quiver's own labels
             _, sigma = witness
-            ideal = _pull_back(q, local_max_ideal(relabel(q, sigma)), sigma)
+            ideal = _pull_back(local_max_ideal(relabel(q, sigma)), sigma)
         cert = _certify(q, LOCAL_MAX, 2, ideal, sigma, None, None)
         return PlanResult(cert, tuple(attempts))
 
@@ -293,7 +292,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
             attempts.append(f"no {shape} on {size} vertices")
             continue
         sigma = relabeling_from_embedding(q, emb)
-        ideal = _pull_back(q, ideal_of(relabel(q, sigma), size), sigma)
+        ideal = _pull_back(ideal_of(relabel(q, sigma), size), sigma)
         cert = _certify(q, kind, target, ideal, sigma, emb, size)
         return PlanResult(cert, tuple(attempts))
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Union
 
 from .algebra import Algebra, ModuleSpec
@@ -65,11 +66,11 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
     """Minimal nonzero paths p with source target(g) making g.p zero.
 
     Found from each relation r = u ++ v with u a nonempty suffix of word(g):
-    then g.v contains r.  The relation index maps every proper prefix u of a
-    relation to its remainders v, so only the suffixes of word(g) shorter
-    than the longest relation are looked up.  Candidates with another
-    candidate as a proper prefix are redundant and dropped; the survivors are
-    exactly the minimal generators of the kernel of P(target g) -> <g>.
+    then g.v contains r.  ``RelationSet.remainders`` looks each suffix of
+    word(g) up among the proper prefixes of the relations.  Candidates with
+    another candidate as a proper prefix are redundant and dropped; the
+    survivors are exactly the minimal generators of the kernel of
+    P(target g) -> <g>.
     The result is memoised on the algebra, and ``g`` is checked only on a
     cache miss: every cached path passed those checks once.
     """
@@ -84,12 +85,8 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
 
 
 def _successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
-    word, rests = g.word, algebra.index.rests
     candidates = {
-        v
-        for cut in range(1, min(len(word), algebra.lmax - 1) + 1)
-        for v in rests.get(word[-cut:], ())
-        if not algebra.is_zero_word(v)
+        v for v in algebra.relations.remainders(g.word) if not algebra.is_zero_word(v)
     }
     minimal = [
         v
@@ -201,29 +198,20 @@ def verify_local_max_resolution(algebra: Algebra):
     q = algebra.quiver
     mismatches = []
     for i in q.vertices():
-        deg1: dict[int, int] = {}
-        for j in q.vertices():
-            if j != i and q.r(i, j):
-                deg1[j] = q.r(i, j)
-        deg2: dict[int, int] = {}
-        for j in q.vertices():
-            if j <= i:
-                continue
-            for k in q.vertices():
-                if k < j and q.r(i, j) and q.r(j, k):
-                    deg2[k] = deg2.get(k, 0) + q.r(i, j) * q.r(j, k)
-        expected = [{i: 1}]
-        if deg1:
-            expected.append(deg1)
-        if deg2:
-            expected.append(deg2)
+        deg1 = {j: q.r(i, j) for j in q.vertices() if j != i}
+        deg2: Counter[int] = Counter()
+        for j in range(i + 1, q.n + 1):
+            for k in range(1, j):
+                deg2[k] += q.r(i, j) * q.r(j, k)
         got = resolve(algebra, ModuleSpec.simple(q, i))
-        for d in range(max(len(expected), len(got.betti))):
-            want = expected[d] if d < len(expected) else {}
-            have = got.betti[d] if d < len(got.betti) else {}
-            for v in sorted(set(want) | set(have)):
-                if want.get(v, 0) != have.get(v, 0):
-                    mismatches.append((i, d, v, want.get(v, 0), have.get(v, 0)))
+        expected = [{i: 1}, deg1, deg2]  # zero counts never mismatch
+        for d, (want, have) in enumerate(zip_longest(expected, got.betti, fillvalue={})):
+            want, have = Counter(want), Counter(have)
+            mismatches.extend(
+                (i, d, v, want[v], have[v])
+                for v in sorted(want.keys() | have.keys())
+                if want[v] != have[v]
+            )
     return (not mismatches, mismatches)
 
 
@@ -232,13 +220,9 @@ def check_euler_identity(algebra: Algebra, spec: ModuleSpec, res: Resolution) ->
     module's composition vector, vertex by vertex (exact integers)."""
     if not res.complete:
         raise ValueError("Euler identity needs a complete resolution")
-    total: dict[int, int] = {}
-    sign = 1
-    for layer in res.betti:
+    total: Counter[int] = Counter()
+    for d, layer in enumerate(res.betti):
         for v, mult in layer.items():
             pv = algebra.composition_vector(ModuleSpec.projective(algebra.quiver, v))
-            for w, c in pv.items():
-                total[w] = total.get(w, 0) + sign * mult * c
-        sign = -sign
-    target = algebra.composition_vector(spec)
-    return all(total.get(v, 0) == target.get(v, 0) for v in set(total) | set(target))
+            total.update({w: (-1) ** d * mult * c for w, c in pv.items()})
+    return total == Counter(algebra.composition_vector(spec))

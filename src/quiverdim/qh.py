@@ -13,6 +13,7 @@ composition count the second condition already reads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,12 +57,12 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     if order.n != q.n:
         raise ValueError(f"order has {order.n} vertices, the quiver {q.n}")
     rank = order.apply
-    gen_words = algebra.relations.words()
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
         below = [j for j in q.vertices() if rank(j) < rank(i)]
         down = [a for a in q.out_arrows(i) if rank(a.target) < rank(i)]
-        r_ok = all(not any(w[0] == a.id for w in gen_words) for a in down)
+        # the image of a down-arrow is projective iff no relation starts with it
+        r_ok = not any(algebra.relations.remainders((a.id,)) for a in down)
         delta = ModuleSpec(i, frozenset(a.id for a in down))
         cv = algebra.composition_vector(delta)
         delta_ok = cv.get(i, 0) == 1 and all(cv.get(j, 0) == 0 for j in below)
@@ -79,14 +80,12 @@ def ringel_bound_check(algebra: Algebra, order: Optional[Relabeling] = None) -> 
     return homology.gldim(algebra) <= algebra.quiver.n
 
 
-def _cv_add(acc: dict[int, int], cv: dict[int, int], scale: int = 1) -> None:
-    for v, c in cv.items():
-        acc[v] = acc.get(v, 0) + scale * c
-
-
-def _cv_eq(a: dict[int, int], b: dict[int, int]) -> bool:
-    keys = set(a) | set(b)
-    return all(a.get(v, 0) == b.get(v, 0) for v in keys)
+def _total(*vectors: Counter[int]) -> Counter[int]:
+    """The sum of composition vectors; unlike ``+`` it keeps negative counts."""
+    acc: Counter[int] = Counter()
+    for vec in vectors:
+        acc.update(vec)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -108,63 +107,43 @@ def verify_sequence_identities(algebra: Algebra, m: int) -> list[IdentityCheck]:
     if not (2 <= m <= q.n):
         raise ValueError(f"m must be within 2..{q.n}")
     algebra.require_admissible()
+    P, Gamma, Delta = ModuleSpec.projective, ModuleSpec.gamma, ModuleSpec.delta
 
-    def cv(spec: ModuleSpec) -> dict[int, int]:
-        return algebra.composition_vector(spec)
+    def cv(spec: ModuleSpec, k: int = 1) -> Counter[int]:
+        """``k`` times the composition vector of ``spec``."""
+        return Counter({v: k * c for v, c in algebra.composition_vector(spec).items()})
 
-    def cv_p(i: int) -> dict[int, int]:
-        return cv(ModuleSpec.projective(q, i))
-
-    def cv_r(i: int) -> dict[int, int]:
-        acc: dict[int, int] = {}
-        for j in range(1, i):
-            if q.r(i, j):
-                _cv_add(acc, cv_p(j), q.r(i, j))
-        return acc
+    def cv_r(i: int, k: int = 1) -> Counter[int]:
+        """``k`` times that of R(i), the sum of P(j)^r(i,j) over j < i."""
+        return _total(*(cv(P(q, j), k * q.r(i, j)) for j in range(1, i) if q.r(i, j)))
 
     checks: list[IdentityCheck] = []
 
     for i in range(1, m - 1):
-        lhs = cv_p(i)
-        rhs: dict[int, int] = {i: 1}
-        _cv_add(rhs, cv_r(i))
-        _cv_add(rhs, cv(ModuleSpec.gamma(q, i + 1)), q.r(i, i + 1))
-        for j in range(i + 2, q.n + 1):
-            if q.r(i, j):
-                _cv_add(rhs, cv(ModuleSpec.delta(q, j)), q.r(i, j))
+        lhs, r_i = cv(P(q, i)), cv_r(i)
+        gamma_next = cv(Gamma(q, i + 1), q.r(i, i + 1))
+        deltas = (cv(Delta(q, j), q.r(i, j)) for j in range(i + 2, q.n + 1) if q.r(i, j))
         checks.append(
             IdentityCheck(
                 f"simple_filtration_{i}",
-                _cv_eq(lhs, rhs),
+                lhs == _total(Counter({i: 1}), r_i, gamma_next, *deltas),
                 f"cv(P({i})) vs S+R+Gamma+Delta pieces",
             )
         )
-
-        rhs2: dict[int, int] = {}
-        _cv_add(rhs2, cv(ModuleSpec.gamma(q, i)))
-        _cv_add(rhs2, cv_r(i))
-        _cv_add(rhs2, cv(ModuleSpec.gamma(q, i + 1)), q.r(i, i + 1))
         checks.append(
             IdentityCheck(
                 f"gamma_filtration_{i}",
-                _cv_eq(lhs, rhs2),
+                lhs == _total(cv(Gamma(q, i)), r_i, gamma_next),
                 f"cv(P({i})) vs Gamma({i})+R+Gamma({i+1}) pieces",
             )
         )
 
-    lhs: dict[int, int] = {}
-    _cv_add(lhs, cv_p(m - 1))
-    _cv_add(lhs, cv(ModuleSpec.gamma(q, m - 1)), -1)
-    rhs: dict[int, int] = {}
-    _cv_add(rhs, cv_r(m - 1))
-    tail: dict[int, int] = {}
-    _cv_add(tail, cv_p(m))
-    _cv_add(tail, cv_r(m), -1)
-    _cv_add(rhs, tail, q.r(m - 1, m))
+    r = q.r(m - 1, m)
     checks.append(
         IdentityCheck(
             "gamma_tail",
-            _cv_eq(lhs, rhs),
+            _total(cv(P(q, m - 1)), cv(Gamma(q, m - 1), -1))
+            == _total(cv_r(m - 1), cv(P(q, m), r), cv_r(m, -r)),
             f"cv(P({m-1})) - cv(Gamma({m-1})) vs R({m-1}) + r*(P({m}) - R({m}))",
         )
     )

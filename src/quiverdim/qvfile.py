@@ -32,7 +32,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
     n = None
     arrows: list[Arrow] = []
     arrow_ids: set[str] = set()
-    rel_words: list[tuple[int, list[str]]] = []
+    rel_lines: list[tuple[int, list[str]]] = []
     in_relations = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -75,7 +75,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, "'rel' before 'relations'")
             if len(fields) < 2:
                 raise QvParseError(line_no, "empty relation")
-            rel_words.append((line_no, fields[1:]))
+            rel_lines.append((line_no, fields[1:]))
         else:
             raise QvParseError(line_no, f"unknown directive {directive!r}")
     if n is None:
@@ -85,7 +85,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
     except ValueError as exc:
         raise QvParseError(1, str(exc)) from None
     paths: list[Path] = []
-    for line_no, word in rel_words:
+    for line_no, word in rel_lines:
         for aid in word:
             if aid not in quiver.arrow_by_id:
                 raise QvParseError(line_no, f"unknown arrow id {aid!r} in relation")

@@ -256,6 +256,24 @@ def test_index_zero_tests_match_naive_scan(rels, word):
     assert algebra._kills_suffix(word) == any(
         len(r) <= len(word) and word[len(word) - len(r) :] == r for r in kept
     )
+    assert sorted(algebra.relations.remainders(word)) == sorted(
+        r[cut:]
+        for r in kept
+        for cut in range(1, len(r))
+        if cut <= len(word) and word[len(word) - cut :] == r[:cut]
+    )
+    # The rejecting constructor and the dropping reduction share one loop.
+    paths = [LOOPS.path(1, w) for w in rels]
+    if len(qd.reduce_relations(paths)) == len(paths):
+        assert qd.RelationSet(paths).words() == tuple(rels)
+    else:
+        with pytest.raises(ValueError, match="not reduced"):
+            qd.RelationSet(paths)
+    short = paths + [LOOPS.path(1, ("a",))]
+    with pytest.raises(qd.NotAdmissibleError):
+        qd.RelationSet(short)
+    with pytest.raises(qd.NotAdmissibleError):
+        qd.reduce_relations(short)
 
 
 @settings(max_examples=300, deadline=None)

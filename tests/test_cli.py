@@ -88,6 +88,18 @@ def test_removed_options_are_usage_errors(argv, golden_file):
         (["resolve", "--module", "S:1", "--max-deg", "-1"], "max_deg must be >= 0"),
         (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
         (["oracle-check", "--max-deg", "-1"], "max_deg must be >= 0"),
+        # a large prime is refused before trial division, a huge one before
+        # any float conversion
+        pytest.param(
+            ["oracle-check", "--field", str(2**61 - 1)],
+            f"modulus {2**61 - 1} too large (max 32749)",
+            id="prime-2**61-1",
+        ),
+        pytest.param(
+            ["verify", "--field", str(10**399)],
+            f"modulus {10**399} too large (max 32749)",
+            id="400-digits",
+        ),
     ],
 )
 def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys):
