@@ -7,10 +7,12 @@ answers every such test by hashing the windows whose length is a relation
 length, instead of scanning the relations.  Admissibility (all long enough
 paths vanish) is decided on a forbidden-suffix automaton whose states are
 short nonzero windows; the algebra is finite-dimensional iff that automaton
-is acyclic.  The search is
-``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
-returns a cycle of states, read back as a witness path, or the longest path
-of every state, which gives the nilpotency bound.
+is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology`` runs
+on its chain graph: it returns a cycle of states, read back as a witness
+path, or the longest path of every state, which gives the nilpotency bound.
+The automaton step, memoised per state, is the one place that decides
+whether appending an arrow keeps a path nonzero: the basis grows paths
+through it, and the sqh test of ``qh`` walks it without the basis.
 """
 
 from __future__ import annotations
@@ -221,10 +223,11 @@ class Algebra:
     path.  ``depths`` holds the longest chain length from each path the walk
     has entered, ``math.inf`` for a path that reaches a cycle; the length
     depends on the path and the relations alone, so a depth recorded while
-    resolving one module holds for every other.  Apart from these
-    caches the algebra is immutable after construction, and it stays safe to
-    share between threads: every cache entry is deterministic, so a race
-    only computes the same value twice.
+    resolving one module holds for every other.  ``transitions`` memoises
+    the window automaton's step per state.  Apart from these caches the
+    algebra is immutable after construction, and it stays safe to share
+    between threads: every cache entry is deterministic, so a race only
+    computes the same value twice.
     """
 
     def __init__(
@@ -244,6 +247,7 @@ class Algebra:
         self.lmax = max(relations.lengths, default=0)
         self.successors: dict[Path, tuple[Path, ...]] = {}
         self.depths: dict[Path, int | float] = {}
+        self.transitions: dict[tuple, tuple] = {}
 
     # -- zero tests ---------------------------------------------------------
 
@@ -265,30 +269,34 @@ class Algebra:
     def admissibility(self) -> Admissibility:
         return self._check_admissible()
 
-    def _window_transitions(self, vertex: int, window: tuple[str, ...]):
-        """Automaton step: extend a nonzero window by each out-arrow."""
-        keep = max(self.lmax - 1, 0)
-        for a in self.quiver.out_arrows(vertex):
-            grown = window + (a.id,)
-            if self._kills_suffix(grown):
-                continue
-            yield a, (a.target, grown[-keep:] if keep else ())
+    def _window_transitions(self, state: tuple) -> tuple:
+        """Automaton step, memoised in ``transitions``: the (arrow, next
+        state) pairs of a state (v, w), which stands for the nonzero paths
+        ending at v with last lmax-1 arrows w (all, if fewer)."""
+        moves = self.transitions.get(state)
+        if moves is None:
+            vertex, window = state
+            cut = 1 - self.lmax  # grown[cut:] keeps lmax-1 arrows; () if lmax is 0
+            moves = []
+            for a in self.quiver.out_arrows(vertex):
+                grown = window + (a.id,)
+                if not self._kills_suffix(grown):
+                    moves.append((a, (a.target, grown[cut:])))
+            self.transitions[state] = moves = tuple(moves)
+        return moves
+
+    def _next_states(self, state: tuple) -> tuple:
+        return tuple(nxt for _, nxt in self._window_transitions(state))
 
     def _check_admissible(self) -> Admissibility:
         starts = [(v, ()) for v in self.quiver.vertices()]
-        moves: dict = {}  # state -> its transitions, computed once
-
-        def step(state):
-            moves[state] = tuple(self._window_transitions(*state))
-            return tuple(nxt for _, nxt in moves[state])
-
         longest: dict = {}
-        cycle = find_cycle(starts, step, longest)
+        cycle = find_cycle(starts, self._next_states, longest)
         if cycle is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
         # Each step of the witness is the first arrow from one state to the next.
         word = tuple(
-            next(a.id for a, nxt in moves[state] if nxt == after)
+            next(a.id for a, nxt in self._window_transitions(state) if nxt == after)
             for state, after in zip(cycle, cycle[1:] + cycle[:1])
         )
         witness = self.quiver.path(cycle[0][0], word)
@@ -309,25 +317,22 @@ class Algebra:
         return self._enumerate_basis()
 
     def _enumerate_basis(self) -> BasisIndex:
-        level = sorted(
-            (self.quiver.trivial_path(v) for v in self.quiver.vertices()),
-            key=Path.sort_key,
-        )
+        """Grow (path, automaton state) pairs level by level."""
+        level = [(self.quiver.trivial_path(v), (v, ())) for v in self.quiver.vertices()]
         paths: list[Path] = []
         while level:
-            paths.extend(level)
+            level.sort(key=lambda pair: pair[0].sort_key())
+            paths.extend(p for p, _ in level)
             if len(paths) > self.basis_cap:
                 raise BasisCapExceeded(
                     f"more than {self.basis_cap} nonzero paths; "
                     "is the relation set admissible?"
                 )
-            nxt = []
-            for p in level:
-                for a in self.quiver.out_arrows(p.target):
-                    grown = p.word + (a.id,)
-                    if not self._kills_suffix(grown):
-                        nxt.append(Path(p.source, a.target, grown))
-            level = sorted(nxt, key=Path.sort_key)
+            level = [
+                (Path(p.source, a.target, p.word + (a.id,)), after)
+                for p, state in level
+                for a, after in self._window_transitions(state)
+            ]
         return BasisIndex(paths)
 
     @property

@@ -110,26 +110,16 @@ def gldim2_achievable(q: Quiver) -> tuple[bool, Optional[tuple[Path, Relabeling]
     length-2 path and the relabeling that moves its middle vertex to n."""
     if any(a.is_loop for a in q.arrows):
         return False, None
-    two_paths = sorted(
-        (
-            Path(a.source, b.target, (a.id, b.id))
-            for a in q.arrows
-            for b in q.out_arrows(a.target)
-        ),
+    witness = min(
+        (Path(a.source, b.target, (a.id, b.id)) for a in q.arrows for b in q.out_arrows(a.target)),
         key=Path.sort_key,
+        default=None,
     )
-    if not two_paths:
+    if witness is None:
         return False, None
-    witness = two_paths[0]
     middle = q.arrow(witness.word[0]).target
-    mapping = [0] * q.n
-    mapping[middle - 1] = q.n
-    nxt = 1
-    for v in q.vertices():
-        if v != middle:
-            mapping[v - 1] = nxt
-            nxt += 1
-    return True, (witness, Relabeling(tuple(mapping)))
+    order = tuple(v for v in q.vertices() if v != middle) + (middle,)
+    return True, (witness, Relabeling(order).inverse())
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ sum of the matching projectives, and the radical of the standard module
 Delta(i) only has composition factors above i.  "Smaller" and "above" refer
 to an order on the vertices: the labels 1..n unless a ``Relabeling`` is
 given, in which case i precedes j when the relabeling sends i below j.  For
-monomial ideals both conditions are word-combinatorial, and no matrix is
-built: the Hom criterion dim Hom(P(j), Delta(i)) = [Delta(i) : S(j)] is the
-composition count the second condition already reads.
+monomial ideals both conditions are word-combinatorial, and neither a matrix
+nor the path basis is built: the second is reachability in the window
+automaton of ``Algebra``, and the Hom criterion dim Hom(P(j), Delta(i)) =
+[Delta(i) : S(j)] counts the same paths it reaches.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 from . import homology
 from .algebra import Algebra, ModuleSpec
 from .homology import ExtNat
-from .quiver import Relabeling
+from .quiver import Relabeling, find_cycle
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,10 @@ class SqhReport:
 
 def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> SqhReport:
     """Per-vertex report; ``overall`` is the conjunction of the two defining
-    conditions.  Both are read off the relations and composition vectors;
-    ``hom_delta_ok`` equals ``delta_factors_ok`` (see ``SqhVertexReport``).
+    conditions, read off the relations and the window automaton, never the
+    path basis.  Each nonzero path from i not starting with a down-arrow is
+    a factor of Delta(i) at its end, so the factors are right iff no such
+    path of length >= 1 reaches a vertex ranked <= i.
 
     Vertex i is smaller than j when ``order.apply(i) < order.apply(j)``; with
     no order, when i < j.  The report is keyed by the original labels.
@@ -57,15 +60,20 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     if order.n != q.n:
         raise ValueError(f"order has {order.n} vertices, the quiver {q.n}")
     rank = order.apply
+    # low[s]: the lowest rank of a vertex reachable from automaton state s.
+    # The walk finds no cycle, and an edge s -> t has longest[s] > longest[t].
+    longest: dict = {}
+    find_cycle([(v, ()) for v in q.vertices()], algebra._next_states, longest)
+    low: dict = {}
+    for s in sorted(longest, key=longest.get):
+        low[s] = min([rank(s[0])] + [low[t] for t in algebra._next_states(s)])
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
-        below = [j for j in q.vertices() if rank(j) < rank(i)]
         down = [a for a in q.out_arrows(i) if rank(a.target) < rank(i)]
         # the image of a down-arrow is projective iff no relation starts with it
         r_ok = not any(algebra.relations.remainders((a.id,)) for a in down)
-        delta = ModuleSpec(i, frozenset(a.id for a in down))
-        cv = algebra.composition_vector(delta)
-        delta_ok = cv.get(i, 0) == 1 and all(cv.get(j, 0) == 0 for j in below)
+        steps = algebra._window_transitions((i, ()))
+        delta_ok = all(low[s] > rank(i) for a, s in steps if a not in down)
         per_vertex[i] = SqhVertexReport(r_ok, delta_ok, delta_ok)
     overall = all(r.r_projective_ok and r.delta_factors_ok for r in per_vertex.values())
     return SqhReport(per_vertex, overall)

@@ -273,7 +273,8 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 def find_a_embeddings(
     q: Quiver, m: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> Iterator[Embedding]:
-    """Yield every simple directed path on m distinct vertices.
+    """Yield every simple directed path on m distinct vertices (none, at
+    once, when m exceeds the vertex count).
 
     One embedding per choice of vertices AND arrows, in lexicographic order
     on the vertex sequence with arrow ids breaking ties.  Iterative
@@ -283,6 +284,8 @@ def find_a_embeddings(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > q.n:
+        return
     steps = 0
     for start in q.vertices():
         # vertices[k] is entered by arrows[k] (None at the start); todo[k]
@@ -388,12 +391,5 @@ def relabeling_from_embedding(q: Quiver, emb: Embedding) -> Relabeling:
     """Send the embedded vertices to 1..m in path order, the rest to m+1..n
     in ascending original order."""
     emb.validate(q)
-    mapping = [0] * q.n
-    for k, v in enumerate(emb.vertices, start=1):
-        mapping[v - 1] = k
-    nxt = len(emb.vertices) + 1
-    for v in q.vertices():
-        if mapping[v - 1] == 0:
-            mapping[v - 1] = nxt
-            nxt += 1
-    return Relabeling(tuple(mapping))
+    inside = set(emb.vertices)
+    return Relabeling([*emb.vertices, *(v for v in q.vertices() if v not in inside)]).inverse()

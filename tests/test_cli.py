@@ -31,19 +31,28 @@ def golden_file(tmp_path):
     return str(path)
 
 
+def _capped(self):
+    raise qd.BasisCapExceeded("more than 3 nonzero paths; is the relation set admissible?")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["verify"], ["check-sqh"], ["render", "--module", "S:1"]],
+    [["verify"], ["render", "--module", "S:1"]],
 )
 def test_basis_cap_is_an_input_error(argv, golden_file, monkeypatch, capsys):
-    def capped(self):
-        raise qd.BasisCapExceeded("more than 3 nonzero paths; is the relation set admissible?")
-
-    monkeypatch.setattr(qd.Algebra, "_enumerate_basis", capped)
+    monkeypatch.setattr(qd.Algebra, "_enumerate_basis", _capped)
     assert cli.main(argv + [golden_file]) == 2
     assert capsys.readouterr().err == (
         "error: more than 3 nonzero paths; is the relation set admissible?\n"
     )
+
+
+def test_check_sqh_never_builds_the_basis(monkeypatch, capsys):
+    monkeypatch.setattr(qd.Algebra, "_enumerate_basis", _capped)
+    want = json.loads((TESTS / "golden" / "golden.json").read_text())["check-sqh --json"]
+    code = cli.main(["check-sqh", GOLDEN_QV, "--json"])
+    out, err = capsys.readouterr()
+    assert {"exit": code, "stdout": out, "stderr": err} == want
 
 
 def test_not_admissible_is_an_input_error(tmp_path, capsys):

@@ -169,6 +169,18 @@ def test_achieve_gldim_unreachable_reports():
     assert not res.ok and any("loop" in note for note in res.attempts)
 
 
+def test_target_above_the_vertex_count_searches_nothing():
+    # No embedding has more vertices than the quiver, so each route answers
+    # "no ..." at once instead of spending its search budget.
+    res = construct.achieve_gldim(complete_quiver(10), 50)
+    assert res.attempts == (
+        "no non-extendable line on 51 vertices",
+        "no one-cycle on 50 vertices",
+        "no one-cycle on 51 vertices",
+        "target 50 is not achievable by the supported constructions",
+    )
+
+
 def test_certificate_replays_deterministically():
     q = complete_quiver(5)
     first = construct.achieve_gldim(q, 4)

@@ -13,6 +13,7 @@ from conftest import (
     linear_quiver,
     one_loop_algebra,
     random_loopless_quiver,
+    short_paths,
 )
 from test_construct import all_small_quivers
 
@@ -82,6 +83,61 @@ def test_hom_delta_ok_matches_matrix_fibers():
             dims = oracle.rep_of(algebra, ModuleSpec.delta(q, i)).dims
             hom_ok = dims[i] == 1 and all(dims[j] == 0 for j in range(1, i))
             assert report.vertices[i].hom_delta_ok == hom_ok, (algebra.relations, i)
+
+
+def _random_admissible_algebra(rng: random.Random) -> qd.Algebra:
+    """A random quiver on 1-4 vertices with loops and parallel arrows, and a
+    random admissible ideal of paths of length 2 and 3."""
+    while True:
+        n = rng.randint(1, 4)
+        arrows = [
+            qd.Arrow(f"x{k}", rng.randint(1, n), rng.randint(1, n))
+            for k in range(rng.randint(1, 2 * n))
+        ]
+        q = qd.Quiver(n, tuple(arrows))
+        ideal = [p for p in short_paths(q) if rng.random() < 0.6]
+        algebra = qd.Algebra(q, ideal)
+        if algebra.admissibility.ok:
+            return algebra
+
+
+def test_delta_factors_match_composition_vectors():
+    # The reachability test against the definition: [Delta(i) : S(i)] = 1
+    # and [Delta(i) : S(j)] = 0 for j ranked below i, read off the basis.
+    rng = random.Random(71)
+    for _ in range(150):
+        algebra = _random_admissible_algebra(rng)
+        q = algebra.quiver
+        labels = list(q.vertices())
+        rng.shuffle(labels)
+        order = qd.Relabeling(labels)
+        rank = order.apply
+        report = qd.check_strongly_qh(algebra, order=order)
+        for i in q.vertices():
+            down = {a.id for a in q.out_arrows(i) if rank(a.target) < rank(i)}
+            cv = algebra.composition_vector(ModuleSpec(i, frozenset(down)))
+            below = [j for j in q.vertices() if rank(j) < rank(i)]
+            expect = cv.get(i, 0) == 1 and all(cv.get(j, 0) == 0 for j in below)
+            assert report.vertices[i].delta_factors_ok == expect, (q, algebra.relations, i)
+
+
+def test_sqh_never_builds_the_basis():
+    # K8 has 21,845 nonzero paths under the local-max ideal, and kQ of the
+    # transitive tournament on 21 vertices about 2**21, both above the cap.
+    q = complete_quiver(8)
+    algebra = qd.Algebra(q, qd.local_max_ideal(q), basis_cap=1000)
+    report = qd.check_strongly_qh(algebra)
+    assert report.overall
+    with pytest.raises(qd.BasisCapExceeded):
+        algebra.basis
+    n = 21
+    t21 = qd.Quiver(
+        n, tuple(qd.Arrow(f"a{i}_{j}", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    )
+    cert = construct.achieve_gldim(t21, 1).certificate
+    assert cert.kind == construct.HEREDITARY
+    assert cert.relabeling == qd.Relabeling.identity(n)
+    assert cert.verified_gldim == 1
 
 
 def test_r_projective_failure_detected():
