@@ -11,8 +11,9 @@ is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology`` runs
 on its chain graph: it returns a cycle of states, read back as a witness
 path, or the longest path of every state, which gives the nilpotency bound.
 The automaton step, memoised per state, is the one place that decides
-whether appending an arrow keeps a path nonzero: the basis grows paths
-through it, and the sqh test of ``qh`` walks it without the basis.
+whether appending an arrow keeps a path nonzero; a state reads the arrows it
+kills off ``RelationSet.rests`` at once.  The basis grows paths through it,
+and the sqh test of ``qh`` walks it without the basis.
 """
 
 from __future__ import annotations
@@ -72,30 +73,28 @@ class RelationSet:
         repeated or malformed path.
         """
         given = tuple(paths)
-        vars(self).update(_words=set(), lengths=[], rests={})
+        words, lengths, rests = set(), [], {}
+        vars(self).update(_words=words, lengths=lengths, rests=rests)
         kept = []
         for p in sorted(given, key=Path.sort_key):
-            if p.length < 2:
+            word = p.word
+            if len(word) < 2:
                 raise NotAdmissibleError(
                     f"zero relation {p} has length {p.length}; relations must have length >= 2"
                 )
-            u = self.first_infix(p.word)
+            u = self.first_infix(word)
             if u is None:
                 kept.append(p)
-                self._add(p.word)
-            elif not drop or u == p.word:
+                words.add(word)
+                if not lengths or lengths[-1] < len(word):  # shortest first: stays ascending
+                    lengths.append(len(word))
+                for cut in range(1, len(word)):
+                    rests.setdefault(word[:cut], []).append(word[cut:])
+            elif not drop or u == word:
                 raise ValueError(
-                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(p.word)}"
+                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
                 )
         object.__setattr__(self, "generators", tuple(kept) if drop else given)
-
-    def _add(self, word: tuple[str, ...]) -> None:
-        self._words.add(word)
-        if len(word) not in self.lengths:
-            self.lengths.append(len(word))
-            self.lengths.sort()
-        for cut in range(1, len(word)):
-            self.rests.setdefault(word[:cut], []).append(word[cut:])
 
     def with_generators(self, generators: Iterable[Path]) -> "RelationSet":
         """This set with ``generators`` in place of its own, which must have
@@ -224,7 +223,9 @@ class Algebra:
     has entered, ``math.inf`` for a path that reaches a cycle; the length
     depends on the path and the relations alone, so a depth recorded while
     resolving one module holds for every other.  ``transitions`` memoises
-    the window automaton's step per state.  Apart from these caches the
+    the window automaton's step per state, ``next_states`` its target states
+    alone, and ``window_depths`` the longest path from each state, which the
+    admissibility walk leaves for ``qh``.  Apart from these caches the
     algebra is immutable after construction, and it stays safe to share
     between threads: every cache entry is deterministic, so a race only
     computes the same value twice.
@@ -248,6 +249,8 @@ class Algebra:
         self.successors: dict[Path, tuple[Path, ...]] = {}
         self.depths: dict[Path, int | float] = {}
         self.transitions: dict[tuple, tuple] = {}
+        self.next_states: dict[tuple, tuple] = {}
+        self.window_depths: dict[tuple, int | float] = {}
 
     # -- zero tests ---------------------------------------------------------
 
@@ -272,25 +275,34 @@ class Algebra:
     def _window_transitions(self, state: tuple) -> tuple:
         """Automaton step, memoised in ``transitions``: the (arrow, next
         state) pairs of a state (v, w), which stands for the nonzero paths
-        ending at v with last lmax-1 arrows w (all, if fewer)."""
+        ending at v with last lmax-1 arrows w (all, if fewer).  The killed
+        arrows are the length-1 remainders in ``rests`` of w's suffixes."""
         moves = self.transitions.get(state)
         if moves is None:
             vertex, window = state
+            rests, n, killed = self.relations.rests, len(window), set()
+            for k in self.relations.lengths:
+                if k > n + 1:
+                    break
+                for v in rests.get(window[n + 1 - k :], ()):
+                    if len(v) == 1:
+                        killed.add(v[0])
             cut = 1 - self.lmax  # grown[cut:] keeps lmax-1 arrows; () if lmax is 0
             moves = []
-            for a in self.quiver.out_arrows(vertex):
-                grown = window + (a.id,)
-                if not self._kills_suffix(grown):
-                    moves.append((a, (a.target, grown[cut:])))
+            for a in self.quiver._out[vertex]:
+                if a.id not in killed:
+                    moves.append((a, (a.target, (window + (a.id,))[cut:])))
             self.transitions[state] = moves = tuple(moves)
         return moves
 
     def _next_states(self, state: tuple) -> tuple:
-        return tuple(nxt for _, nxt in self._window_transitions(state))
+        if state not in self.next_states:
+            self.next_states[state] = tuple([s for _, s in self._window_transitions(state)])
+        return self.next_states[state]
 
     def _check_admissible(self) -> Admissibility:
         starts = [(v, ()) for v in self.quiver.vertices()]
-        longest: dict = {}
+        longest = self.window_depths  # filled once: ``admissibility`` is cached
         cycle = find_cycle(starts, self._next_states, longest)
         if cycle is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))

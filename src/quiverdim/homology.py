@@ -15,10 +15,10 @@ check of ``algebra`` and ``quiver.has_oriented_cycle`` use the same walk on
 their own graphs.  The longest chain length from every path it enters is
 memoised in ``Algebra.depths``, ``math.inf`` once the path is known to reach
 a cycle, and later walks skip it.  Successors are memoised in
-``Algebra.successors``, and a path is checked to be a nonzero path of
-length >= 1 only on a cache miss.  Only relations are consulted, never the
-path basis: the cost tracks the relation count and the chain-graph size,
-not the (possibly exponential) dimension.
+``Algebra.successors``; a miss checks the path and finds them in one pass
+over the relation-prefix table, with no zero test.  Only relations are
+consulted, never the path basis: the cost tracks the relation count and
+the chain-graph size, not the (possibly exponential) dimension.
 The linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
@@ -67,10 +67,10 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
 
     Found from each relation r = u ++ v with u a nonempty suffix of word(g):
     then g.v contains r.  ``RelationSet.remainders`` looks each suffix of
-    word(g) up among the proper prefixes of the relations.  Candidates with
-    another candidate as a proper prefix are redundant and dropped; the
-    survivors are exactly the minimal generators of the kernel of
-    P(target g) -> <g>.
+    word(g) up among the proper prefixes of the relations; v is nonzero, as
+    a proper infix of a relation of a reduced set.  A candidate with another
+    one as a proper prefix is redundant and dropped; the survivors are
+    exactly the minimal generators of the kernel of P(target g) -> <g>.
     The result is memoised on the algebra, and ``g`` is checked only on a
     cache miss: every cached path passed those checks once.
     """
@@ -80,33 +80,20 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
             raise ValueError("successors need a path of length >= 1")
         if algebra.is_zero_path(g):
             raise ValueError(f"{g} is zero in the algebra")
-        cached = algebra.successors[g] = _successors(algebra, g)
+        found = set(algebra.relations.remainders(g.word))
+        minimal = [v for v in found if not any(v[:k] in found for k in range(1, len(v)))]
+        minimal.sort()
+        minimal.sort(key=len)  # all start at target(g): the order of Path.sort_key
+        arrows = algebra.quiver.arrow_by_id
+        cached = tuple(Path(g.target, arrows[v[-1]].target, v) for v in minimal)
+        algebra.successors[g] = cached
     return cached
 
 
-def _successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
-    candidates = {
-        v for v in algebra.relations.remainders(g.word) if not algebra.is_zero_word(v)
-    }
-    minimal = [
-        v
-        for v in candidates
-        if not any(u != v and v[: len(u)] == u for u in candidates)
-    ]
-    return tuple(
-        sorted(
-            (algebra.quiver.path(g.target, v) for v in minimal),
-            key=Path.sort_key,
-        )
-    )
-
-
 def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
-    algebra.check_module(spec)
-    q = algebra.quiver
-    return sorted(
-        (q.path(spec.vertex, (aid,)) for aid in spec.killed), key=Path.sort_key
-    )
+    algebra.check_module(spec)  # every killed arrow starts at spec.vertex
+    arrows = algebra.quiver.arrow_by_id
+    return [Path(spec.vertex, arrows[aid].target, (aid,)) for aid in sorted(spec.killed)]
 
 
 def _walk(algebra: Algebra, starts: list[Path], depths: dict) -> Optional[list[Path]]:

@@ -95,9 +95,11 @@ def _nullspace(m: np.ndarray, p: int) -> np.ndarray:
 
 def _coords(basis: np.ndarray, pivots: list[int], y: np.ndarray, p: int) -> np.ndarray:
     """Coordinates of the columns of y in an RREF basis (one column each);
-    every column must lie in the span."""
+    every column must lie in the span.  The basis is the identity at the
+    pivots, so only the other rows can differ from the span's image."""
     c = y[pivots] % p
-    if np.any((y - _mul(basis.T, c, p)) % p):
+    free = np.delete(np.arange(basis.shape[1]), pivots)
+    if np.any((y[free] - _mul(basis[:, free].T, c, p)) % p):
         raise ArithmeticError("vector outside subspace; not a subrepresentation?")
     return c
 

@@ -21,7 +21,7 @@ from typing import Optional
 from . import homology
 from .algebra import Algebra, ModuleSpec
 from .homology import ExtNat
-from .quiver import Relabeling, find_cycle
+from .quiver import Relabeling
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
         raise ValueError(f"order has {order.n} vertices, the quiver {q.n}")
     rank = order.apply
     # low[s]: the lowest rank of a vertex reachable from automaton state s.
-    # The walk finds no cycle, and an edge s -> t has longest[s] > longest[t].
-    longest: dict = {}
-    find_cycle([(v, ()) for v in q.vertices()], algebra._next_states, longest)
+    # The admissibility walk measured every state; s -> t has longest[s] > longest[t].
+    longest = algebra.window_depths
     low: dict = {}
     for s in sorted(longest, key=longest.get):
         low[s] = min([rank(s[0])] + [low[t] for t in algebra._next_states(s)])

@@ -5,6 +5,9 @@ stay stable under relabeling.  Path words are stored in traversal order:
 the first-traversed arrow comes first.  (Algebraic texts often write the
 product of arrows in composition order, i.e. reversed; every word in this
 package, including relation words in files, is a traversal-order word.)
+``Arrow`` and ``Path`` are ``NamedTuple`` values, hashed and compared as
+plain tuples: a ``Path`` equals the tuple ``(source, target, word)``, and
+``len(path)`` is 3, so code must use ``path.length``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a subquiver search exceeds its node budget."""
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: str
     source: int
     target: int
@@ -37,8 +39,7 @@ class Arrow:
         return self.source == self.target
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An oriented path: ``word`` lists arrow ids in traversal order.
 
     The empty word is the trivial path at ``source`` (= ``target``).
@@ -224,7 +225,7 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
                     stack.append((child, grand, iter(grand)))
                     break
             else:
-                longest[node] = 1 + max((longest[k] for k in kids), default=-1)
+                longest[node] = 1 + max(map(longest.__getitem__, kids), default=-1)
                 del open_at[node]
                 stack.pop()
     return None
@@ -299,30 +300,26 @@ def find_a_embeddings(
                 yield Embedding(tuple(vertices), tuple(arrows[1:]))
             todo.append(iter(q.out_arrows(vertices[-1]) if len(vertices) < m else ()))
             while todo:
-                for a in todo[-1]:
-                    if a.target not in visited:
+                for arrow_id, _, target in todo[-1]:  # an Arrow is (id, source, target)
+                    if target not in visited:
                         break
                 else:  # every out-arrow tried: step back
                     todo.pop()
                     visited.discard(vertices.pop())
                     arrows.pop()
                     continue
-                vertices.append(a.target)
-                arrows.append(a.id)
-                visited.add(a.target)
+                vertices.append(target)
+                arrows.append(arrow_id)
+                visited.add(target)
                 break
 
 
 def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:
-    """A witness arrow from the last embedded vertex back into the path, if any."""
+    """A witness arrow from the last embedded vertex back into the path, if
+    any: the first by (target, id), which is the order of ``out_arrows``."""
     last = emb.vertices[-1]
     inside = set(emb.vertices)
-    candidates = [
-        a for a in q.out_arrows(last) if a.target in inside and a.target != last
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda a: (a.target, a.id))
+    return next((a for a in q.out_arrows(last) if a.target in inside and a.target != last), None)
 
 
 def find_x_embedding(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 
 from .algebra import RelationSet, reduce_relations
-from .quiver import Arrow, CompositionError, Path, Quiver
+from .quiver import Arrow, Path, Quiver
 
 
 class QvParseError(ValueError):
@@ -86,15 +86,18 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
         raise QvParseError(1, str(exc)) from None
     paths: list[Path] = []
     for line_no, word in rel_lines:
-        for aid in word:
-            if aid not in quiver.arrow_by_id:
-                raise QvParseError(line_no, f"unknown arrow id {aid!r} in relation")
-        try:
-            paths.append(quiver.path(quiver.arrow(word[0]).source, word))
-        except CompositionError as exc:
-            raise QvParseError(line_no, f"relation does not compose: {exc}") from None
+        try:  # one lookup per arrow; an unknown id is reported before a break
+            walk = [quiver.arrow_by_id[aid] for aid in word]
+        except KeyError as exc:
+            raise QvParseError(line_no, f"unknown arrow id {exc.args[0]!r} in relation") from None
+        for a, b in zip(walk, walk[1:]):
+            if a.target != b.source:  # the message of Quiver.path's CompositionError
+                raise QvParseError(line_no, f"relation does not compose: word {tuple(word)} "
+                                   f"breaks at {b.id!r}: expected source {a.target}, "
+                                   f"got {b.source}")
         if len(word) < 2:
             raise QvParseError(line_no, "relations must have length >= 2")
+        paths.append(Path(walk[0].source, walk[-1].target, tuple(word)))
     return quiver, reduce_relations(paths)
 
 

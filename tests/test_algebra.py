@@ -331,3 +331,58 @@ def test_admissibility_matches_brute_force(case):
         for k in range(1, algebra.lmax + 2):
             assert not any(naive_contains(w.word * k, r) for r in rels), k
     assert has_oriented_cycle(q) == (not qd.Algebra(q).admissibility.ok)
+
+
+def brute_force_transitions(q, words):
+    """The window automaton of every state reachable from the (v, ()) starts,
+    each step decided by testing every relation word as a suffix of the
+    grown window; a state keeps the last lmax - 1 arrows."""
+    keep = max(max(map(len, words), default=0) - 1, 0)
+    table, todo = {}, [(v, ()) for v in q.vertices()]
+    while todo:
+        state = todo.pop()
+        if state in table:
+            continue
+        vertex, window = state
+        moves = []
+        for a in q.out_arrows(vertex):
+            grown = window + (a.id,)
+            if not any(len(r) <= len(grown) and grown[len(grown) - len(r) :] == r for r in words):
+                moves.append((a, (a.target, grown[max(len(grown) - keep, 0) :])))
+        table[state] = tuple(moves)
+        todo.extend(nxt for _, nxt in moves)
+    return table
+
+
+def random_monomial_input(rng):
+    """A quiver with loops and parallel arrows on 1-4 vertices, and relation
+    walks of length 2-4."""
+    n = rng.randint(1, 4)
+    pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 7))]
+    q = qd.Quiver(n, tuple(qd.Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(pairs)))
+    relations = []
+    for _ in range(rng.randint(0, 8)):
+        walk = [rng.choice(q.arrows)]
+        for _ in range(rng.randint(1, 3)):
+            if q.out_arrows(walk[-1].target):
+                walk.append(rng.choice(q.out_arrows(walk[-1].target)))
+        if len(walk) >= 2:
+            relations.append(q.path(walk[0].source, tuple(a.id for a in walk)))
+    return q, relations
+
+
+def test_killed_arrow_step_matches_suffix_test():
+    """Admissible or not, the automaton, its bound and its witness cycle are
+    those of the brute-force step."""
+    rng = random.Random(11)
+    for case in range(200):
+        q, relations = random_monomial_input(rng)
+        algebra = qd.Algebra(q, relations)
+        adm = algebra.admissibility
+        brute = brute_force_transitions(q, algebra.relations.words())
+        assert algebra.transitions == {s: brute[s] for s in algebra.transitions}, case
+        if adm.ok:
+            assert set(algebra.transitions) == set(brute), case
+        reference = qd.Algebra(q, relations)
+        reference.transitions.update(brute)  # its walk reads every step from here
+        assert reference.admissibility == adm, case  # ok, bound, witness and reason

@@ -37,6 +37,31 @@ def test_path_validation():
         q.path(1, ("zz",))
 
 
+def test_paths_and_arrows_are_immutable_values():
+    q = complete_quiver(5, r=2)
+    a = q.arrow("a12x0")
+    assert a == qd.Arrow("a12x0", 1, 2) and hash(a) == hash(qd.Arrow("a12x0", 1, 2))
+    p = q.path(1, ("a12x0", "a23x1"))
+    same = qd.Path(1, 3, ("a12x0", "a23x1"))
+    assert p == same and hash(p) == hash(same) and {same: 0}[p] == 0
+    assert p == (1, 3, ("a12x0", "a23x1")) and p.length == 2 and len(p) == 3
+    for value, field in ((a, "id"), (a, "target"), (p, "word"), (p, "source")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    assert repr(a) == str(a) == "Arrow(id='a12x0', source=1, target=2)"
+    assert repr(p) == "Path(source=1, target=3, word=('a12x0', 'a23x1'))"
+    assert str(p) == "a12x0.a23x1" and str(q.trivial_path(4)) == "e4"
+    assert qd.Arrow("b", 1, 2) < qd.Arrow("b", 2, 1) < qd.Arrow("c", 1, 1)
+    # out-arrows by target, then id; parallel arrows stay adjacent
+    assert [b.id for b in q.out_arrows(3)] == [
+        "a31x0", "a31x1", "a32x0", "a32x1", "a34x0", "a34x1", "a35x0", "a35x1"
+    ]
+    for v in q.vertices():
+        outs = q.out_arrows(v)
+        assert list(outs) == sorted(outs, key=lambda b: (b.target, b.id))
+        assert sorted(outs) == sorted(b for b in q.arrows if b.source == v)
+
+
 def test_quiver_rejects_bad_arrows():
     with pytest.raises(ValueError):
         qd.Quiver(2, (qd.Arrow("a", 1, 3),))
