@@ -247,14 +247,17 @@ def cmd_verify(args, quiver, relations):
 
 
 def cmd_oracle_check(args, quiver, relations):
-    algebra = _admissible(quiver, relations)
     from . import oracle
 
+    algebra = Algebra(quiver, relations)
     fields = [2, oracle.DEFAULT_PRIME] if args.field is None else [args.field]
+    # Checks --max-deg and --field before the admissibility check.
+    comparisons = [_engine_comparisons(algebra, args.max_deg, p) for p in fields]
+    algebra.require_admissible()
     checks = [
         {"name": f"p{p}_{name}", "ok": same, "detail": ""}
-        for p in fields
-        for name, _, _, _, same in _engine_comparisons(algebra, args.max_deg, p)
+        for p, compared in zip(fields, comparisons)
+        for name, _, _, _, same in compared
     ]
     return _checks_report(checks, "engines agree", "engines DISAGREE")
 

@@ -207,9 +207,12 @@ def check_euler_identity(algebra: Algebra, spec: ModuleSpec, res: Resolution) ->
     module's composition vector, vertex by vertex (exact integers)."""
     if not res.complete:
         raise ValueError("Euler identity needs a complete resolution")
+    q = algebra.quiver
+    projective = {
+        v: algebra.composition_vector(ModuleSpec.projective(q, v)) for v in set().union(*res.betti)
+    }
     total: Counter[int] = Counter()
     for d, layer in enumerate(res.betti):
         for v, mult in layer.items():
-            pv = algebra.composition_vector(ModuleSpec.projective(algebra.quiver, v))
-            total.update({w: (-1) ** d * mult * c for w, c in pv.items()})
+            total.update({w: (-1) ** d * mult * c for w, c in projective[v].items()})
     return total == Counter(algebra.composition_vector(spec))

@@ -2,23 +2,37 @@
 
 Modules become explicit quiver representations on the path basis; projective
 covers, syzygies and minimal resolutions are computed by exact modular
-Gaussian elimination with deterministic pivoting.  Linear algebra runs only
-on a module's support: a vertex or arrow whose fiber is zero costs no
-elimination and no product, a subrepresentation takes one matrix product per
-arrow, and each module's radical is built once per homological degree.
-numpy int64 arrays carry the arithmetic; an entry is below p, so a product
-with inner dimension k is exact while (p-1)**2 * k < 2**63, which ``_mul``
-checks before every product.  All ideals here are monomial, so every
-computed dimension is independent of the chosen prime; that independence is
-itself asserted in the test suite.  This engine shares no resolution logic
-with ``homology`` and serves as its cross-check.
+Gaussian elimination with deterministic pivoting.  This engine shares no
+resolution logic with ``homology`` and serves as its cross-check.  All
+ideals here are monomial, so every computed dimension is independent of the
+chosen prime; that independence is itself asserted in the test suite.
+
+Cost model.  Linear algebra runs only on a module's support: a vertex or
+arrow whose fiber is zero costs no elimination and no product.  A syzygy is
+the kernel of the projective cover, whose basis is (generator, path) pairs
+on which an arrow acts by appending itself: it sends each pair to one pair
+or to zero.  The cover's arrows are therefore kept as index maps, and
+restricting them to the kernel is a row gather, not a matrix product.  The
+images of the cover basis under the cover map are built one path length at
+a time, one product per (length, last arrow) over all generators at once.
+Each kernel takes one elimination; its basis is the identity at the free
+columns, which is all that reading coordinates in it needs.
+
+Arithmetic.  Entries are integers in [0, p) held as int64.  A product
+with inner dimension k runs in float64, through BLAS, while every partial
+sum stays an integer below 2**53, that is while (p-1)**2 * k < 2**53, so it
+is exact; past that bound it runs in int64 (exact below 2**63, but numpy
+has no BLAS path for it), and past that it raises.  ``_mul`` checks the
+bound before every product.  Elimination updates rows entrywise, with
+products below p**2 and no sums.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,7 +43,8 @@ from .quiver import Path, Quiver
 DEFAULT_PRIME = 101
 
 
-# (p-1)**2 < 2**30, so an int64 product is exact for inner dimension below 2**33
+# (p-1)**2 < 2**30, so a float64 product is exact for inner dimension below
+# 2**23 and an int64 product below 2**33
 MAX_PRIME = 32749
 
 
@@ -44,10 +59,14 @@ def _require_prime(p: int) -> None:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for entries in [0, p); raises if int64 could overflow."""
+    """(a @ b) mod p for entries in [0, p), as int64: a float64 product
+    while it is exact, else an int64 one; raises if int64 could overflow."""
     k = a.shape[-1]
-    if (p - 1) ** 2 * k >= 2**63:
+    bound = (p - 1) ** 2 * k
+    if bound >= 2**63:
         raise OverflowError(f"int64 product of inner dimension {k} not exact mod {p}")
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     return (a @ b) % p
 
 
@@ -56,51 +75,56 @@ def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     rows, cols = m.shape
     if not rows or not cols:
         return np.zeros((0, cols), dtype=np.int64), []
-    m = np.array(m % p, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64) % p
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - _mul(m[others, c : c + 1], m[r : r + 1], p)) % p
+        lead = int(m[r, c])
+        if lead != 1:
+            m[r] = (m[r] * pow(lead, -1, p)) % p
+        others = m[:, c].nonzero()[0]
+        if others.size > 1:
+            # a rank-one update: entrywise products below p**2, no sums
+            others = others[others != r]
+            m[others] = (m[others] - m[others, c : c + 1] * m[r]) % p
         pivot_cols.append(c)
         r += 1
     return m[: len(pivot_cols)], pivot_cols
 
 
-def _nullspace(m: np.ndarray, p: int) -> np.ndarray:
-    """Canonical kernel basis (rows), one vector per free column, ascending."""
+def _nullspace(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Canonical kernel basis (rows), one vector per free column, ascending,
+    and those free columns: the basis is the identity there."""
     rows, cols = m.shape
     if not rows or not cols:
-        return np.eye(cols, dtype=np.int64)
+        return np.eye(cols, dtype=np.int64), list(range(cols))
     rr, pivots = _rref(m, p)
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
+    free = sorted(set(range(cols)).difference(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-rr[:, free].T) % p
-    return basis
+    return basis, free
 
 
-def _coords(basis: np.ndarray, pivots: list[int], y: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of the columns of y in an RREF basis (one column each);
-    every column must lie in the span.  The basis is the identity at the
-    pivots, so only the other rows can differ from the span's image."""
-    c = y[pivots] % p
-    free = np.delete(np.arange(basis.shape[1]), pivots)
-    if np.any((y[free] - _mul(basis[:, free].T, c, p)) % p):
-        raise ArithmeticError("vector outside subspace; not a subrepresentation?")
+def _coords(basis: np.ndarray, unit: list[int], y: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of the columns of y in a basis (rows) that is the
+    identity at the columns ``unit`` (one column of coordinates each); every
+    column must lie in the span.  The coordinates are y's entries at
+    ``unit``, so only the other entries can differ from the span's image."""
+    c = y[unit] % p
+    if len(unit) < basis.shape[1]:  # else the basis spans the whole space
+        rest = np.ones(basis.shape[1], dtype=bool)
+        rest[unit] = False
+        if np.any((y[rest] - _mul(basis[:, rest].T, c, p)) % p):
+            raise ArithmeticError("vector outside subspace; not a subrepresentation?")
     return c
 
 
@@ -120,6 +144,31 @@ class Rep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
+
+    def apply(self, arrow_id: str, x: np.ndarray) -> np.ndarray:
+        """The arrow's images of the columns of x."""
+        return _mul(self.action[arrow_id], x, self.p)
+
+
+@dataclass
+class _Cover:
+    """A projective cover on its (generator, path) basis.  For each pair
+    (src, dst) in ``maps[a]``, arrow a sends the element at row src[i] of
+    its source fiber to the one at row dst[i] of its target fiber; it sends
+    every other element to zero."""
+
+    quiver: Quiver
+    p: int
+    dims: dict[int, int]
+    maps: dict[str, list[tuple[np.ndarray, np.ndarray]]]
+
+    def apply(self, arrow_id: str, x: np.ndarray) -> np.ndarray:
+        """The arrow's images of the columns of x: row gathers."""
+        a = self.quiver.arrow_by_id[arrow_id]
+        out = np.zeros((self.dims[a.target], x.shape[1]), dtype=np.int64)
+        for src, dst in self.maps.get(arrow_id, ()):
+            out[dst] = x[src]
+        return out
 
 
 def rep_of(algebra: Algebra, spec: ModuleSpec, p: int = DEFAULT_PRIME) -> Rep:
@@ -158,17 +207,14 @@ def check_relations(algebra: Algebra, rep: Rep) -> bool:
     return True
 
 
-def _radical(rep: Rep) -> dict[int, tuple[np.ndarray, list[int]]]:
-    """RREF basis of the radical (sum of all incoming arrow images)."""
-    out: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for v in rep.quiver.vertices():
-        pieces = [
-            rep.action[a.id].T for a in rep.quiver.in_arrows(v) if rep.dims[a.source]
-        ]
-        if pieces and rep.dims[v]:
-            out[v] = _rref(np.vstack(pieces), rep.p)
-        else:
-            out[v] = (np.zeros((0, rep.dims[v]), dtype=np.int64), [])
+def _radical(rep: Rep) -> dict[int, list[int]]:
+    """Per vertex, the pivot columns of an RREF basis of the radical (the
+    sum of all incoming arrow images); none at a zero fiber."""
+    q = rep.quiver
+    out: dict[int, list[int]] = {}
+    for v, d in rep.dims.items():
+        pieces = [rep.action[a.id].T for a in q.in_arrows(v) if rep.dims[a.source]] if d else []
+        out[v] = _rref(np.vstack(pieces), rep.p)[1] if pieces else []
     return out
 
 
@@ -176,9 +222,7 @@ def _top_lifts(rep: Rep) -> dict[int, list[int]]:
     """Per vertex, the coordinates whose unit vectors complete the radical
     to the whole fiber: the non-pivot columns of its RREF basis."""
     rad = _radical(rep)
-    return {
-        v: sorted(set(range(rep.dims[v])) - set(rad[v][1])) for v in rep.quiver.vertices()
-    }
+    return {v: sorted(set(range(rep.dims[v])) - set(rad[v])) for v in rep.quiver.vertices()}
 
 
 def top_dims(rep: Rep) -> dict[int, int]:
@@ -186,81 +230,114 @@ def top_dims(rep: Rep) -> dict[int, int]:
     return {v: len(ks) for v, ks in _top_lifts(rep).items() if ks}
 
 
-def _sub_rep(parent: Rep, bases: dict[int, tuple[np.ndarray, list[int]]]) -> Rep:
-    """Materialize a subrepresentation from per-vertex RREF bases.
+def _sub_rep(
+    parent: Union[Rep, _Cover], bases: dict[int, tuple[np.ndarray, list[int]]]
+) -> Rep:
+    """Materialize a subrepresentation from per-vertex bases (rows), each
+    the identity at the listed columns, as an RREF basis is at its pivots;
+    a vertex without a basis is a zero fiber.
 
-    Each arrow maps its source basis with one product; the coordinates are
-    read at the target pivots, after checking that every image lies in the
-    target subspace (``ArithmeticError`` otherwise).
+    Each arrow maps its source basis with one ``parent.apply``; the
+    coordinates are read at the target's listed columns, after checking
+    that every image lies in the target subspace (``ArithmeticError``
+    otherwise).
     """
     p = parent.p
-    dims = {v: bases[v][0].shape[0] for v in parent.quiver.vertices()}
+    dims = {v: len(bases[v][1]) if v in bases else 0 for v in parent.quiver.vertices()}
     action: dict[str, np.ndarray] = {}
     for a in parent.quiver.arrows:
         if dims[a.source] and parent.dims[a.target]:
-            images = _mul(parent.action[a.id], bases[a.source][0].T, p)
+            images = parent.apply(a.id, bases[a.source][0].T)
             action[a.id] = _coords(*bases[a.target], images, p)
         else:
             action[a.id] = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
     return Rep(parent.quiver, p, dims, action)
 
 
+def _path_tree(paths: tuple[Path, ...]) -> tuple[Counter, list[tuple[int, str, int, int]]]:
+    """The paths from one vertex, in basis order, as a tree under removal
+    of the last arrow: how many end at each vertex, and per nontrivial
+    path (length, last arrow, index of its parent among the paths ending
+    where the parent ends, its own index among the paths ending where it
+    ends).  The basis is closed under taking prefixes."""
+    count: Counter[int] = Counter()
+    index: dict[tuple[str, ...], int] = {}
+    steps = []
+    for path in paths:
+        j = index[path.word] = count[path.target]
+        count[path.target] = j + 1
+        if path.word:
+            steps.append((len(path.word), path.word[-1], index[path.word[:-1]], j))
+    return count, steps
+
+
+def _cover_kernels(
+    algebra: Algebra, rep: Rep, lifts: dict[int, list[int]]
+) -> tuple[_Cover, dict[int, tuple[np.ndarray, list[int]]]]:
+    """The projective cover of ``rep`` with top lifts ``lifts``, and per
+    vertex a basis of the kernel of the cover map, the identity at the
+    listed columns; a zero fiber of the cover has none.
+
+    The cover is the sum of P(v), one copy per top generator; at each
+    vertex w its basis lists, generator by generator, the generator's paths
+    ending at w in basis order.  Arrows act by appending, so they are index
+    maps.  The images of the basis under the cover map are built level by
+    level: the paths of one length with one last arrow take one product
+    over all generators.  Each kernel is one nullspace; at a zero fiber of
+    ``rep`` it is the whole cover fiber.
+    """
+    q = algebra.quiver
+    arrows = q.arrow_by_id
+    cover_dims = dict.fromkeys(q.vertices(), 0)
+    units: list[tuple[int, int, int]] = []  # (vertex, top coordinate, column)
+    # (length, last arrow) -> rows of the parents and of the grown paths
+    levels: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
+    for v in sorted(lifts):
+        if not lifts[v]:
+            continue
+        count, steps = _path_tree(algebra.basis.by_source[v])
+        for k in lifts[v]:
+            start = {w: cover_dims[w] for w in count}
+            for w, n in count.items():
+                cover_dims[w] += n
+            units.append((v, k, start[v]))
+            for length, arrow_id, parent, j in steps:
+                a = arrows[arrow_id]
+                src, dst = levels.setdefault((length, arrow_id), ([], []))
+                src.append(start[a.source] + parent)
+                dst.append(start[a.target] + j)
+    images = {
+        w: np.zeros((rep.dims[w], n), dtype=np.int64)
+        for w, n in cover_dims.items()
+        if rep.dims[w] and n
+    }
+    for v, k, col in units:
+        images[v][k, col] = 1
+    maps: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for length, arrow_id in sorted(levels):
+        src, dst = (np.array(rows, dtype=np.intp) for rows in levels[(length, arrow_id)])
+        maps.setdefault(arrow_id, []).append((src, dst))
+        a = arrows[arrow_id]
+        if a.source in images and a.target in images:
+            images[a.target][:, dst] = rep.apply(arrow_id, images[a.source][:, src])
+    kernels: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for w, n in cover_dims.items():
+        if w in images:
+            kernels[w] = _nullspace(images[w], rep.p)
+        elif n:  # a zero fiber of rep: the kernel is the whole cover fiber
+            kernels[w] = (np.eye(n, dtype=np.int64), list(range(n)))
+    return _Cover(q, rep.p, cover_dims, maps), kernels
+
+
 def syzygy(
     algebra: Algebra, rep: Rep, lifts: Optional[dict[int, list[int]]] = None
 ) -> Rep:
-    """Kernel of the minimal projective cover map onto ``rep``.
-
-    The cover is the sum of P(v), one copy per top generator; its basis is
-    (generator, path) pairs, on which arrows act by appending.  Images of
-    basis elements under the cover map are built incrementally (path by
-    extension), the kernel per vertex via one nullspace each.  ``lifts`` is
-    ``_top_lifts(rep)`` when the caller already has it.
-    """
-    q = algebra.quiver
-    p = rep.p
+    """Kernel of the minimal projective cover map onto ``rep``, on the
+    kernel bases of ``_cover_kernels``.  ``lifts`` is ``_top_lifts(rep)``
+    when the caller already has it."""
     if lifts is None:
         lifts = _top_lifts(rep)
-    empty = np.zeros(0, dtype=np.int64)  # the image at every zero fiber
-    elements: dict[int, list[tuple[int, int, Path]]] = {w: [] for w in q.vertices()}
-    images: dict[tuple[int, int, Path], np.ndarray] = {}
-    for v in sorted(lifts):
-        for k in lifts[v]:
-            for path in algebra.basis.by_source[v]:
-                if path.is_trivial:
-                    img = np.zeros(rep.dims[v], dtype=np.int64)
-                    img[k] = 1
-                else:
-                    last = path.word[-1]
-                    parent = images[(v, k, Path(v, q.arrow(last).source, path.word[:-1]))]
-                    if rep.dims[path.target]:
-                        img = _mul(rep.action[last], parent, p)
-                    else:
-                        img = empty
-                images[(v, k, path)] = img
-                elements[path.target].append((v, k, path))
-    index = {elem: i for w in q.vertices() for i, elem in enumerate(elements[w])}
-    cover_dims = {w: len(elements[w]) for w in q.vertices()}
-    cover_action: dict[str, np.ndarray] = {}
-    for a in q.arrows:
-        m = np.zeros((cover_dims[a.target], cover_dims[a.source]), dtype=np.int64)
-        for col, (v, k, path) in enumerate(elements[a.source]):
-            # appending a is nonzero exactly when the grown path is in the basis
-            row = index.get((v, k, Path(v, a.target, path.word + (a.id,))))
-            if row is not None:
-                m[row, col] = 1
-        cover_action[a.id] = m
-    cover = Rep(q, p, cover_dims, cover_action)
-    kernels: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for w in q.vertices():
-        n = cover_dims[w]
-        if not rep.dims[w]:
-            kernels[w] = (np.eye(n, dtype=np.int64), list(range(n)))
-        elif not n:
-            kernels[w] = (np.zeros((0, 0), dtype=np.int64), [])
-        else:
-            matrix = np.column_stack([images[elem] for elem in elements[w]])
-            kernels[w] = _rref(_nullspace(matrix, p), p)
-    return _sub_rep(cover, kernels)
+    return _sub_rep(*_cover_kernels(algebra, rep, lifts))
 
 
 def minimal_resolution(

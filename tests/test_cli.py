@@ -123,6 +123,8 @@ def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys
     [
         (["verify", "--field", "4"], "4 is not prime"),
         (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
+        (["oracle-check", "--field", "4"], "4 is not prime"),
+        (["oracle-check", "--max-deg", "-1"], "max_deg must be >= 0"),
     ],
 )
 def test_bad_numeric_options_precede_the_admissibility_check(argv, message, capsys):

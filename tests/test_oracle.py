@@ -144,6 +144,20 @@ def test_products_check_their_exactness_bound():
     with pytest.raises(OverflowError):
         oracle._mul(wide, wide.T, oracle.MAX_PRIME)
     assert oracle._mul(np.ones((1, 3), dtype=np.int64), np.ones((3, 1), dtype=np.int64), 2) == 1
+    # below 2**53 the product runs in float64: for MAX_PRIME the sums of
+    # 10**4 terms (p-1)**2 reach about 1.07e13, every partial sum exact
+    for p in (2, 101, oracle.MAX_PRIME):
+        a = np.full((3, 10**4), p - 1, dtype=np.int64)
+        b = np.full((10**4, 2), p - 1, dtype=np.int64)
+        assert np.array_equal(oracle._mul(a, b, p), (a @ b) % p)
+    # past 2**53 it runs in int64: this sum, odd and about 1.8e16, has no
+    # float64 representation
+    p, k = oracle.MAX_PRIME, 2**24 - 1
+    tall = np.lib.stride_tricks.as_strided(
+        np.full(1, p - 2, dtype=np.int64), shape=(1, k), strides=(0, 0)
+    )
+    assert (p - 1) ** 2 * k >= 2**53
+    assert oracle._mul(tall, tall.T, p) == (p - 2) ** 2 * k % p
 
 
 def test_one_loop_quadratic_alternating_syzygies():
@@ -233,3 +247,117 @@ def test_engines_agree_with_loops_parallel_arrows_and_sparse_support():
         q = algebra.quiver
         builds = (ModuleSpec.simple, ModuleSpec.projective)
         _agree_over_two_fields(algebra, [b(q, i) for b in builds for i in q.vertices()])
+
+
+def _per_path_cover_kernels(algebra, rep, p):
+    """The cover construction the index-map one replaced, kept as its
+    reference: one product per (generator, path), a dense 0/1 matrix per
+    cover arrow, and each kernel in RREF.  Returns the cover's dimensions,
+    its arrow matrices and the kernel per vertex."""
+    q = algebra.quiver
+    lifts = oracle._top_lifts(rep)
+    elements = {w: [] for w in q.vertices()}
+    images = {}
+    for v in sorted(lifts):
+        for k in lifts[v]:
+            for path in algebra.basis.by_source[v]:
+                if path.is_trivial:
+                    img = np.zeros(rep.dims[v], dtype=np.int64)
+                    img[k] = 1
+                else:
+                    last = path.word[-1]
+                    parent = images[(v, k, qd.Path(v, q.arrow(last).source, path.word[:-1]))]
+                    img = oracle._mul(rep.action[last], parent, p)
+                images[(v, k, path)] = img
+                elements[path.target].append((v, k, path))
+    index = {elem: i for w in q.vertices() for i, elem in enumerate(elements[w])}
+    dims = {w: len(elements[w]) for w in q.vertices()}
+    action = {}
+    for a in q.arrows:
+        m = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
+        for col, (v, k, path) in enumerate(elements[a.source]):
+            row = index.get((v, k, qd.Path(v, a.target, path.word + (a.id,))))
+            if row is not None:
+                m[row, col] = 1
+        action[a.id] = m
+    kernels = {}
+    for w in q.vertices():
+        n = dims[w]
+        if not rep.dims[w]:
+            kernels[w] = (np.eye(n, dtype=np.int64), list(range(n)))
+        elif not n:
+            kernels[w] = (np.zeros((0, 0), dtype=np.int64), [])
+        else:
+            matrix = np.column_stack([images[elem] for elem in elements[w]])
+            kernels[w] = oracle._rref(oracle._nullspace(matrix, p)[0], p)
+    return dims, action, kernels
+
+
+def _random_suite():
+    """The algebras of the loops, parallel arrows and sparse support test."""
+    rng = random.Random(71)
+    checked = 0
+    while checked < 25:
+        algebra = _random_monomial_algebra(rng)
+        if algebra is None or algebra.dim > 150:
+            continue
+        builds = ALL_SPECS + (ModuleSpec.projective,)
+        yield algebra, builds
+        checked += 1
+    for _ in range(2):
+        yield _sparse_line_algebra(rng), (ModuleSpec.simple, ModuleSpec.projective)
+
+
+def _scrambled(rep, rng):
+    """``rep`` in another basis at every vertex, changed by a random unit
+    upper triangular matrix: the path basis makes every cover map and
+    kernel a coordinate one, this basis does not."""
+    p, change, inverse = rep.p, {}, {}
+    for v, d in rep.dims.items():
+        unit = np.eye(d, dtype=np.int64)
+        change[v] = np.triu(rng.integers(0, p, size=(d, d)), 1) + unit
+        inverse[v] = oracle._rref(np.hstack([change[v], unit]), p)[0][:, d:]
+    action = {
+        a.id: oracle._mul(
+            oracle._mul(change[a.target], rep.action[a.id], p), inverse[a.source], p
+        )
+        for a in rep.quiver.arrows
+    }
+    return oracle.Rep(rep.quiver, p, dict(rep.dims), action)
+
+
+def test_syzygy_matches_the_per_path_construction():
+    rng = np.random.default_rng(5)
+    for algebra, builds in _random_suite():
+        q = algebra.quiver
+        for spec in (b(q, i) for b in builds for i in q.vertices()):
+            for p in (2, 101):
+                path_basis = oracle.rep_of(algebra, spec, p)
+                for rep in (path_basis, _scrambled(path_basis, rng)):
+                    _compare_three_syzygies(algebra, rep, spec)
+
+
+def _compare_three_syzygies(algebra, rep, spec):
+    """Three syzygies in a row: the same cover and, at every vertex, the same
+    kernel (compared by RREF) as the per-path construction, and a result
+    that is a representation of the algebra."""
+    q, p = algebra.quiver, rep.p
+    empty = (np.zeros((0, 0), dtype=np.int64), [])
+    for _ in range(3):
+        dims, action, kernels = _per_path_cover_kernels(algebra, rep, p)
+        cover, bases = oracle._cover_kernels(algebra, rep, oracle._top_lifts(rep))
+        assert cover.dims == dims
+        for a in q.arrows:
+            unit = np.eye(dims[a.source], dtype=np.int64)
+            assert np.array_equal(cover.apply(a.id, unit), action[a.id])
+        for w in q.vertices():
+            basis, unit = bases.get(w, empty)
+            rref, pivots = oracle._rref(basis, p) if unit else (basis, unit)
+            assert pivots == kernels[w][1], (algebra.relations, spec, p, w)
+            assert np.array_equal(rref, kernels[w][0]), (algebra.relations, spec, p, w)
+        rep = oracle.syzygy(algebra, rep)
+        assert oracle.check_relations(algebra, rep)
+        for a in q.arrows:
+            assert rep.action[a.id].shape == (rep.dims[a.target], rep.dims[a.source])
+        if not rep.total_dim:
+            break
