@@ -96,14 +96,6 @@ class RelationSet:
                 )
         object.__setattr__(self, "generators", tuple(kept) if drop else given)
 
-    def with_generators(self, generators: Iterable[Path]) -> "RelationSet":
-        """This set with ``generators`` in place of its own, which must have
-        the same words (e.g. the same relations under other vertex labels);
-        the lookups are shared, not rebuilt."""
-        moved = object.__new__(RelationSet)
-        vars(moved).update(vars(self), generators=tuple(generators))
-        return moved
-
     def __len__(self) -> int:
         return len(self.generators)
 
@@ -262,6 +254,7 @@ class Algebra:
             raise ValueError(f"{p} is not a path of this algebra's quiver")
         return self.is_zero_word(p.word)
 
+    # Not called by the package; bench/tracing.py counts algebra.zero_tests through this name.
     def _kills_suffix(self, word: tuple[str, ...]) -> bool:
         """True if some generator is a suffix of ``word`` (new zero occurrence)."""
         return self.relations.has_suffix(word)

@@ -1,18 +1,21 @@
 """Ideal constructions that pin the global dimension, and the planner.
 
-The base ideal kills every length-2 path whose middle vertex exceeds both
-endpoints ("local max"); it always forces global dimension at most 2.  Two
-refinements steer the dimension higher along an embedded line or one-cycle:
-adding the consecutive length-2 relations along the line, or consecutive
-relations plus a family of length-3 relations at the tail.  The planner
-picks a construction for a requested target and only issues a certificate
-after recomputing the global dimension from scratch.
+Every ideal is built in the quiver's own labels from a vertex order and a
+walk.  The base ideal kills every length-2 path whose middle vertex ranks
+above both endpoints in the order ("local max"); it always forces global
+dimension at most 2.  Two refinements steer the dimension higher along a
+walk, the vertex sequence of an embedded line or one-cycle: the consecutive
+length-2 relations through every three vertices in a row, or those relations
+short of the tail plus every length-3 path through the walk's last four
+vertices.  The planner orders the vertices along the walk, picks a
+construction for a requested target and only issues a certificate after
+recomputing the global dimension from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from . import homology, qh
 from .algebra import Algebra, RelationSet, reduce_relations
@@ -27,7 +30,6 @@ from .quiver import (
     find_cycle,
     find_x_embedding,
     is_extendable,
-    relabel,
     relabeling_from_embedding,
     structure_predicates,
 )
@@ -47,62 +49,62 @@ def _require_loopless(q: Quiver) -> None:
             raise ValueError(f"quiver has a loop {a.id!r} at {a.source}")
 
 
-def local_max_ideal(q: Quiver) -> RelationSet:
-    """All length-2 paths through a middle vertex larger than both ends."""
+def _paths_through(q: Quiver, walk: Sequence[int]) -> list[Path]:
+    """Every path along the vertex sequence ``walk``, over all parallel
+    arrows between consecutive vertices."""
+    words = [()]
+    for u, v in zip(walk, walk[1:]):
+        words = [w + (a.id,) for w in words for a in q.out_arrows(u) if a.target == v]
+    if not words:
+        raise ValueError(f"missing arrows along {' -> '.join(map(str, walk))}")
+    return [Path(walk[0], walk[-1], w) for w in words]
+
+
+def _ideal(
+    q: Quiver, rank: Callable[[int], int], walk: Sequence[int] = (), cubic: bool = False
+) -> RelationSet:
+    """The local-max relations under ``rank`` (every length-2 path whose
+    middle vertex ranks above both ends), plus the consecutive relations
+    through every three vertices in a row of ``walk``.  With ``cubic`` the
+    last two of those windows give way to every length-3 path through the
+    last four vertices of ``walk``."""
     _require_loopless(q)
     gens = []
     for v in q.vertices():
-        ins = [a for a in q.in_arrows(v) if a.source < v]
-        outs = [b for b in q.out_arrows(v) if b.target < v]
-        for a in ins:
-            for b in outs:
-                gens.append(Path(a.source, b.target, (a.id, b.id)))
+        top = rank(v)
+        ins = [a for a in q.in_arrows(v) if rank(a.source) < top]
+        outs = [b for b in q.out_arrows(v) if rank(b.target) < top]
+        gens.extend(Path(a.source, b.target, (a.id, b.id)) for a in ins for b in outs)
+    chain = walk[:-2] if cubic else walk
+    for k in range(len(chain) - 2):
+        gens.extend(_paths_through(q, chain[k : k + 3]))
+    if cubic:
+        gens.extend(_paths_through(q, walk[-4:]))
     return reduce_relations(gens)
 
 
-def _consecutive_pairs(q: Quiver, lo: int, hi: int) -> list[Path]:
-    """All 2-paths i -> i+1 -> i+2 for lo <= i <= hi, over all arrow choices."""
-    gens = []
-    for i in range(lo, hi + 1):
-        firsts = [a for a in q.out_arrows(i) if a.target == i + 1]
-        seconds = [b for b in q.out_arrows(i + 1) if b.target == i + 2]
-        if not firsts or not seconds:
-            raise ValueError(f"missing consecutive arrows at {i} -> {i+1} -> {i+2}")
-        for a in firsts:
-            for b in seconds:
-                gens.append(Path(i, i + 2, (a.id, b.id)))
-    return gens
+def _identity(v: int) -> int:
+    return v
+
+
+def local_max_ideal(q: Quiver) -> RelationSet:
+    """All length-2 paths through a middle vertex larger than both ends."""
+    return _ideal(q, _identity)
 
 
 def chain_ideal(q: Quiver, m: int) -> RelationSet:
     """Local-max ideal plus consecutive relations along 1..m (needs m >= 2)."""
-    _require_loopless(q)
     if not (2 <= m <= q.n):
         raise ValueError(f"m must be within 2..{q.n}")
-    gens = list(local_max_ideal(q))
-    if m >= 3:
-        gens.extend(_consecutive_pairs(q, 1, m - 2))
-    return reduce_relations(gens)
+    return _ideal(q, _identity, range(1, m + 1))
 
 
 def chain_cubic_ideal(q: Quiver, m: int) -> RelationSet:
     """Local-max ideal, consecutive relations up to m-4, and every length-3
     path (m-3) -> (m-2) -> (m-1) -> m (needs m >= 4)."""
-    _require_loopless(q)
     if not (4 <= m <= q.n):
         raise ValueError(f"m must be within 4..{q.n}")
-    gens = list(local_max_ideal(q))
-    if m >= 5:
-        gens.extend(_consecutive_pairs(q, 1, m - 4))
-    cubics = []
-    for a in (x for x in q.out_arrows(m - 3) if x.target == m - 2):
-        for b in (x for x in q.out_arrows(m - 2) if x.target == m - 1):
-            for c in (x for x in q.out_arrows(m - 1) if x.target == m):
-                cubics.append(Path(m - 3, m, (a.id, b.id, c.id)))
-    if not cubics:
-        raise ValueError(f"missing consecutive arrows along {m-3}..{m}")
-    gens.extend(cubics)
-    return reduce_relations(gens)
+    return _ideal(q, _identity, range(1, m + 1), cubic=True)
 
 
 def gldim2_achievable(q: Quiver) -> tuple[bool, Optional[tuple[Path, Relabeling]]]:
@@ -124,12 +126,13 @@ def gldim2_achievable(q: Quiver) -> tuple[bool, Optional[tuple[Path, Relabeling]
 
 @dataclass(frozen=True)
 class Certificate:
-    """A verified construction: the ideal (in the quiver's original labels),
-    how it was found, and the recomputed homological data.
+    """A verified construction: the ideal (in the quiver's own labels), how
+    it was found, and the recomputed homological data.
 
-    ``relabeling`` is the vertex order under which the ideal is strongly
-    quasi-hereditary: vertex i precedes j when ``relabeling.apply(i) <
-    relabeling.apply(j)``.  Pass it as ``order`` to ``qh.check_strongly_qh``.
+    ``relabeling`` is the vertex order the ideal was built under, and under
+    which it is strongly quasi-hereditary: vertex i precedes j when
+    ``relabeling.apply(i) < relabeling.apply(j)``.  Pass it as ``order`` to
+    ``qh.check_strongly_qh``.
     """
 
     kind: str
@@ -154,15 +157,6 @@ class PlanResult:
 
 def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
     return next((e for e in find_a_embeddings(q, m) if is_extendable(q, e) is None), None)
-
-
-def _pull_back(relabeled: RelationSet, sigma: Relabeling) -> RelationSet:
-    """Rewrite relation paths in the original labels (arrow ids are stable)."""
-    inv = sigma.inverse()
-    # the words, and so their lookups and reducedness, do not change
-    return relabeled.with_generators(
-        Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled
-    )
 
 
 def _arrows_ascending(q: Quiver) -> Relabeling:
@@ -210,17 +204,19 @@ def _certify(
 def achieve_gldim(q: Quiver, target: int) -> PlanResult:
     """Find an admissible monomial ideal with the requested global dimension.
 
-    Routes, in order: empty ideal (targets 0 and 1; target 1 keeps the
-    quiver's own labels when kQ is sqh under them, else orders the vertices
-    so that every arrow ascends), the local-max ideal (target 2) in the
-    quiver's own labels when it is non-empty, else after moving a composable
-    pair's middle vertex to n, and for target k >= 3 a non-extendable line
-    on k+1 vertices with consecutive relations, a one-cycle on k vertices
-    with consecutive relations, or a one-cycle on k+1 vertices with the
-    length-3 tail family.  A route whose embedding search exceeds its budget
-    is noted in the attempts, and the next route is tried.  Failure only
-    means these constructions do not apply, not that the target is
-    impossible.
+    Routes, in order: the empty ideal (targets 0 and 1; target 1 keeps the
+    identity order when kQ is sqh under it, else orders the vertices so that
+    every arrow ascends); the local-max ideal (target 2) under the identity
+    order when it is non-empty, else under the order that puts a composable
+    pair's middle vertex last; and for target k >= 3 a walk along a
+    non-extendable line on k+1 vertices with consecutive relations, a
+    one-cycle on k vertices with consecutive relations, or a one-cycle on
+    k+1 vertices with the length-3 tail family.  Each walk's ideal is built
+    under the order that ranks the walk first, in path order, and the other
+    vertices after it in ascending order.  A route whose embedding search
+    exceeds its budget is noted in the attempts, and the next route is
+    tried.  Failure only means these constructions do not apply, not that
+    the target is impossible.
     """
     if target < 0:
         raise ValueError("target must be >= 0")
@@ -254,9 +250,9 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
             )
         sigma = identity
         ideal = local_max_ideal(q)
-        if not ideal:  # no vertex is a local max in the quiver's own labels
+        if not ideal:  # no vertex is a local max in the quiver's own order
             _, sigma = witness
-            ideal = _pull_back(local_max_ideal(relabel(q, sigma)), sigma)
+            ideal = _ideal(q, sigma.apply)
         cert = _certify(q, LOCAL_MAX, 2, ideal, sigma, None, None)
         return PlanResult(cert, tuple(attempts))
 
@@ -268,11 +264,11 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
 
     m = target + 1
     routes = (
-        (LINE_CHAIN, "non-extendable line", m, _non_extendable_line, chain_ideal),
-        (CYCLE_CHAIN, "one-cycle", target, find_x_embedding, chain_ideal),
-        (CYCLE_CUBIC, "one-cycle", m, find_x_embedding, chain_cubic_ideal),
+        (LINE_CHAIN, "non-extendable line", m, _non_extendable_line, False),
+        (CYCLE_CHAIN, "one-cycle", target, find_x_embedding, False),
+        (CYCLE_CUBIC, "one-cycle", m, find_x_embedding, True),
     )
-    for kind, shape, size, search, ideal_of in routes:
+    for kind, shape, size, search, cubic in routes:
         try:
             emb = search(q, size)
         except SearchBudgetExceeded as exc:
@@ -282,7 +278,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
             attempts.append(f"no {shape} on {size} vertices")
             continue
         sigma = relabeling_from_embedding(q, emb)
-        ideal = _pull_back(ideal_of(relabel(q, sigma), size), sigma)
+        ideal = _ideal(q, sigma.apply, emb.vertices, cubic)
         cert = _certify(q, kind, target, ideal, sigma, emb, size)
         return PlanResult(cert, tuple(attempts))
 

@@ -9,6 +9,7 @@ from quiverdim.algebra import ModuleSpec
 
 from conftest import (
     GOLDEN_RELATION_WORDS,
+    brute_force_nonzero_paths,
     brute_force_sqh_spectrum,
     complete_quiver,
     golden_quiver,
@@ -201,6 +202,87 @@ def test_certificate_replays_deterministically():
         (inv.apply(g.source), g.word) for g in rebuilt
     }
     assert pulled == {(g.source, g.word) for g in cert.ideal}
+    assert tuple(cert.ideal) == _pull_back(rebuilt, sigma)
+
+
+def _pull_back(relabeled, sigma):
+    """Generators built on ``relabel(q, sigma)``, in their order, with each
+    endpoint moved back to the labels of q."""
+    inv = sigma.inverse()
+    return tuple(qd.Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled)
+
+
+def _relabeled_reference(q, cert):
+    """A certificate's ideal rebuilt the way the relabeling describes it:
+    relabel q, build the public ideal in labels 1..m, move it back."""
+    if cert.kind in (construct.SEMISIMPLE, construct.HEREDITARY):
+        return ()
+    sigma = cert.relabeling
+    if cert.embedding is not None:
+        assert sigma == qd.relabeling_from_embedding(q, cert.embedding)
+    relabeled = qd.relabel(q, sigma)
+    if cert.kind == construct.LOCAL_MAX:
+        rebuilt = qd.local_max_ideal(relabeled)
+    elif cert.kind == construct.CYCLE_CUBIC:
+        rebuilt = qd.chain_cubic_ideal(relabeled, cert.m)
+    else:
+        rebuilt = qd.chain_ideal(relabeled, cert.m)
+    return _pull_back(rebuilt, sigma)
+
+
+def test_certificates_equal_the_relabeled_construction():
+    """The ideal built in q's own labels from an order and a walk equals,
+    generator by generator and in order, the one built on the relabeled
+    copy and moved back: on K2-K7, 200 random quivers and oriented cycles
+    with shuffled labels (the only ones here that take the cubic route),
+    every target."""
+    rng = random.Random(61)
+    quivers = [complete_quiver(n) for n in range(2, 8)]
+    quivers += [random_loopless_quiver(rng, n_max=7) for _ in range(200)]
+    for n in range(3, 8):
+        cycle = rng.sample(range(1, n + 1), n)
+        arrows = tuple(qd.Arrow(f"c{k}", cycle[k - 1], cycle[k % n]) for k in range(1, n + 1))
+        quivers.append(qd.Quiver(n, arrows))
+    kinds = set()
+    for q in quivers:
+        for target in range(q.n + 2):
+            cert = construct.achieve_gldim(q, target).certificate
+            if cert is None:
+                continue
+            kinds.add(cert.kind)
+            assert tuple(cert.ideal) == _relabeled_reference(q, cert), (q, target)
+    assert kinds == {
+        construct.SEMISIMPLE,
+        construct.HEREDITARY,
+        construct.LOCAL_MAX,
+        construct.LINE_CHAIN,
+        construct.CYCLE_CHAIN,
+        construct.CYCLE_CUBIC,
+    }
+
+
+def test_local_max_under_every_order_equals_the_relabeled_one():
+    checked = 0
+    for q in all_small_quivers(3, 3):
+        if any(a.is_loop for a in q.arrows):
+            continue
+        for perm in itertools.permutations(q.vertices()):
+            sigma = qd.Relabeling(perm)
+            expect = _pull_back(qd.local_max_ideal(qd.relabel(q, sigma)), sigma)
+            assert tuple(construct._ideal(q, sigma.apply)) == expect, (q, perm)
+            checked += 1
+    assert checked > 500
+
+
+def test_walk_may_revisit_a_vertex():
+    # x: 2 -> 1, y: 2 -> 3, z: 3 -> 2 along the walk 2, 3, 2, 1: a relabeling
+    # cannot put vertex 2 at two places of the walk.
+    q = qd.Quiver(3, (qd.Arrow("x", 2, 1), qd.Arrow("y", 2, 3), qd.Arrow("z", 3, 2)))
+    ideal = construct._ideal(q, construct._identity, (2, 3, 2, 1))
+    assert [str(g) for g in ideal] == ["y.z", "z.x"]
+    algebra = qd.Algebra(q, ideal)
+    assert qd.gldim(algebra) == 3
+    assert len(brute_force_nonzero_paths(q, ideal.words())) == algebra.dim
 
 
 def test_certificate_ideal_valid_on_original_quiver():
