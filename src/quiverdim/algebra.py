@@ -211,12 +211,13 @@ class Algebra:
     The chain graph of ``homology`` belongs to the algebra, not to one
     module, so every simple, ``pdim``, ``resolve`` and cycle search shares
     it.  ``successors`` memoises ``homology.chain_successors`` per generator
-    path.  ``depths`` holds the longest chain length from each path the walk
-    has entered, ``math.inf`` for a path that reaches a cycle; the length
-    depends on the path and the relations alone, so a depth recorded while
-    resolving one module holds for every other.  ``transitions`` memoises
-    the window automaton's step per state, ``next_states`` its target states
-    alone, and ``window_depths`` the longest path from each state, which the
+    path.  ``depths`` holds the longest chain length from each path a
+    ``pdim`` walk has entered, ``math.inf`` for a path that reaches a cycle;
+    the length depends on the path and the relations alone, so a depth
+    recorded for one module holds for every other.  ``resolve`` searches
+    for its cycle with a fresh memo and leaves ``depths`` alone.
+    ``transitions`` memoises the window automaton's step per state, and
+    ``window_depths`` the longest path from each state, which the
     admissibility walk leaves for ``qh``.  Apart from these caches the
     algebra is immutable after construction, and it stays safe to share
     between threads: every cache entry is deterministic, so a race only
@@ -241,7 +242,6 @@ class Algebra:
         self.successors: dict[Path, tuple[Path, ...]] = {}
         self.depths: dict[Path, int | float] = {}
         self.transitions: dict[tuple, tuple] = {}
-        self.next_states: dict[tuple, tuple] = {}
         self.window_depths: dict[tuple, int | float] = {}
 
     # -- zero tests ---------------------------------------------------------
@@ -269,7 +269,9 @@ class Algebra:
         """Automaton step, memoised in ``transitions``: the (arrow, next
         state) pairs of a state (v, w), which stands for the nonzero paths
         ending at v with last lmax-1 arrows w (all, if fewer).  The killed
-        arrows are the length-1 remainders in ``rests`` of w's suffixes."""
+        arrows are the length-1 remainders in ``rests`` of w's suffixes:
+        w's length-1 ``RelationSet.remainders``, looked up only at the
+        suffixes one shorter than a relation, which is measurably faster."""
         moves = self.transitions.get(state)
         if moves is None:
             vertex, window = state
@@ -289,9 +291,7 @@ class Algebra:
         return moves
 
     def _next_states(self, state: tuple) -> tuple:
-        if state not in self.next_states:
-            self.next_states[state] = tuple([s for _, s in self._window_transitions(state)])
-        return self.next_states[state]
+        return tuple([s for _, s in self._window_transitions(state)])
 
     def _check_admissible(self) -> Admissibility:
         starts = [(v, ()) for v in self.quiver.vertices()]

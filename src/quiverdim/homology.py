@@ -12,9 +12,12 @@ exact Betti data.
 One iterative depth-first walk, ``quiver.find_cycle`` (called through
 ``_walk``), serves ``pdim``, ``resolve`` and ``gldim``; the admissibility
 check of ``algebra`` and ``quiver.has_oriented_cycle`` use the same walk on
-their own graphs.  The longest chain length from every path it enters is
-memoised in ``Algebra.depths``, ``math.inf`` once the path is known to reach
-a cycle, and later walks skip it.  Successors are memoised in
+their own graphs.  For ``pdim`` and ``gldim`` the longest chain length from
+every path it enters is memoised in ``Algebra.depths``, ``math.inf`` once
+the path is known to reach a cycle, and later walks skip it.  ``resolve``
+walks with a fresh memo, so the cycle it reports is the one a fresh algebra
+would, whatever ran before; its own level walk visits every node that
+search does.  Successors are memoised in
 ``Algebra.successors``; a miss checks the path and finds them in one pass
 over the relation-prefix table, with no zero test.  Only relations are
 consulted, never the path basis: the cost tracks the relation count and
@@ -100,22 +103,6 @@ def _walk(algebra: Algebra, starts: list[Path], depths: dict) -> Optional[list[P
     return find_cycle(starts, lambda g: chain_successors(algebra, g), depths)
 
 
-def _find_cycle(algebra: Algebra, starts: list[Path]) -> Optional[list[Path]]:
-    """A generator-path cycle reachable from ``starts``, or None.
-
-    ``quiver.find_cycle`` walks the chain graph and writes the longest chain
-    length of every path it enters into ``algebra.depths`` (``math.inf`` for
-    those reaching a cycle).  When the cycle is reached only through paths
-    an earlier walk marked infinite, the walk is repeated with the finite
-    depths alone, so the cycle is the one a fresh algebra would report.
-    """
-    cycle = _walk(algebra, starts, algebra.depths)
-    if cycle is None and any(algebra.depths[g] == INFINITE for g in starts):
-        finite = {g: d for g, d in algebra.depths.items() if d != INFINITE}
-        cycle = _walk(algebra, starts, finite)
-    return cycle
-
-
 def resolve(
     algebra: Algebra, spec: ModuleSpec, max_deg: Optional[int] = None
 ) -> Resolution:
@@ -130,7 +117,7 @@ def resolve(
     algebra.require_admissible()
     level = _level_one(algebra, spec)
     if max_deg is None:
-        cycle = _find_cycle(algebra, level)
+        cycle = _walk(algebra, level, {})  # a fresh memo: the cycle a fresh algebra reports
         if cycle is not None:
             raise InfiniteResolutionError(cycle)
     betti: list[dict[int, int]] = [{spec.vertex: 1}]

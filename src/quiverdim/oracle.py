@@ -8,7 +8,10 @@ ideals here are monomial, so every computed dimension is independent of the
 chosen prime; that independence is itself asserted in the test suite.
 
 Cost model.  Linear algebra runs only on a module's support: a vertex or
-arrow whose fiber is zero costs no elimination and no product.  A syzygy is
+arrow whose fiber is zero costs no elimination and no product.  A module
+M(i, S) and a projective cover both read their basis as ``_path_tree``, the
+paths from a vertex as a tree under removal of the last arrow: an arrow
+sends each path's parent to the path, one entry per path.  A syzygy is
 the kernel of the projective cover, whose basis is (generator, path) pairs
 on which an arrow acts by appending itself: it sends each pair to one pair
 or to zero.  The cover's arrows are therefore kept as index maps, and
@@ -171,27 +174,34 @@ class _Cover:
         return out
 
 
+def _path_tree(paths: tuple[Path, ...]) -> tuple[Counter, list[tuple[int, str, int, int]]]:
+    """The paths from one vertex, in basis order, as a tree under removal
+    of the last arrow: how many end at each vertex, and per nontrivial
+    path (length, last arrow, index of its parent among the paths ending
+    where the parent ends, its own index among the paths ending where it
+    ends).  ``paths`` is closed under taking prefixes, as the basis and
+    every module basis are."""
+    count: Counter[int] = Counter()
+    index: dict[tuple[str, ...], int] = {}
+    steps = []
+    for path in paths:
+        j = index[path.word] = count[path.target]
+        count[path.target] = j + 1
+        if path.word:
+            steps.append((len(path.word), path.word[-1], index[path.word[:-1]], j))
+    return count, steps
+
+
 def rep_of(algebra: Algebra, spec: ModuleSpec, p: int = DEFAULT_PRIME) -> Rep:
-    """M(i, S) on its path basis: an arrow acts by appending itself."""
+    """M(i, S) on its path basis: an arrow acts by appending itself, so it
+    sends each path's parent in ``_path_tree`` to the path."""
     _require_prime(p)
     q = algebra.quiver
-    paths = algebra.module_basis(spec)
-    index: dict[Path, int] = {}
-    dims = {v: 0 for v in q.vertices()}
-    by_vertex: dict[int, list[Path]] = {v: [] for v in q.vertices()}
-    for path in paths:
-        index[path] = dims[path.target]
-        dims[path.target] += 1
-        by_vertex[path.target].append(path)
-    action: dict[str, np.ndarray] = {}
-    for a in q.arrows:
-        m = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
-        for col, path in enumerate(by_vertex[a.source]):
-            grown = Path(path.source, a.target, path.word + (a.id,))
-            row = index.get(grown)
-            if row is not None:
-                m[row, col] = 1
-        action[a.id] = m
+    count, steps = _path_tree(algebra.module_basis(spec))
+    dims = {v: count[v] for v in q.vertices()}
+    action = {a.id: np.zeros((dims[a.target], dims[a.source]), dtype=np.int64) for a in q.arrows}
+    for _, arrow_id, parent, j in steps:
+        action[arrow_id][j, parent] = 1
     return Rep(q, p, dims, action)
 
 
@@ -252,23 +262,6 @@ def _sub_rep(
         else:
             action[a.id] = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
     return Rep(parent.quiver, p, dims, action)
-
-
-def _path_tree(paths: tuple[Path, ...]) -> tuple[Counter, list[tuple[int, str, int, int]]]:
-    """The paths from one vertex, in basis order, as a tree under removal
-    of the last arrow: how many end at each vertex, and per nontrivial
-    path (length, last arrow, index of its parent among the paths ending
-    where the parent ends, its own index among the paths ending where it
-    ends).  The basis is closed under taking prefixes."""
-    count: Counter[int] = Counter()
-    index: dict[tuple[str, ...], int] = {}
-    steps = []
-    for path in paths:
-        j = index[path.word] = count[path.target]
-        count[path.target] = j + 1
-        if path.word:
-            steps.append((len(path.word), path.word[-1], index[path.word[:-1]], j))
-    return count, steps
 
 
 def _cover_kernels(

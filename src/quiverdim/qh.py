@@ -65,7 +65,7 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     longest = algebra.window_depths
     low: dict = {}
     for s in sorted(longest, key=longest.get):
-        low[s] = min([rank(s[0])] + [low[t] for t in algebra._next_states(s)])
+        low[s] = min([rank(s[0])] + [low[t] for _, t in algebra._window_transitions(s)])
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
         down = [a for a in q.out_arrows(i) if rank(a.target) < rank(i)]

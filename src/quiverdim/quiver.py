@@ -201,8 +201,7 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
     finishes gets the edge count of its longest path, which is ``math.inf``
     exactly when it reaches a node already marked so.  Nodes already in
     ``longest`` are skipped, so a later walk that meets a cycle only
-    through them returns None; walked again with the finite entries alone,
-    it returns the cycle a walk with no earlier entries would.
+    through them returns None.
     ``successors`` is called once per node entered.
     """
     for s in starts:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 
 from .algebra import RelationSet, reduce_relations
-from .quiver import Arrow, Path, Quiver
+from .quiver import _ID_RE, Arrow, Path, Quiver
 
 
 class QvParseError(ValueError):
@@ -53,13 +53,15 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, "'arrow' after 'relations'")
             if len(fields) != 4:
                 raise QvParseError(line_no, "expected: arrow <id> <source> <target>")
-            aid = fields[1]
+            aid, source, target = fields[1:]
+            if not _ID_RE.match(aid):  # the message of Quiver's own check
+                raise QvParseError(line_no, f"arrow id {aid!r} is not an ASCII word")
             if aid in arrow_ids:
                 raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
-            try:
-                s, t = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise QvParseError(line_no, "arrow endpoints must be integers") from None
+            # an optional minus and decimal digits: int() would also take "+1" and "1_0"
+            if not (source.removeprefix("-").isdecimal() and target.removeprefix("-").isdecimal()):
+                raise QvParseError(line_no, "arrow endpoints must be integers")
+            s, t = int(source), int(target)
             if not (1 <= s <= n and 1 <= t <= n):
                 raise QvParseError(line_no, f"endpoint outside 1..{n}")
             arrow_ids.add(aid)
@@ -80,10 +82,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
             raise QvParseError(line_no, f"unknown directive {directive!r}")
     if n is None:
         raise QvParseError(1, "missing 'quiver' directive")
-    try:
-        quiver = Quiver(n, tuple(arrows))
-    except ValueError as exc:
-        raise QvParseError(1, str(exc)) from None
+    quiver = Quiver(n, tuple(arrows))
     paths: list[Path] = []
     for line_no, word in rel_lines:
         try:  # one lookup per arrow; an unknown id is reported before a break

@@ -195,14 +195,21 @@ BAD_QV1 = [
     ("quiver 2\narrow a 1\n", "line 2: expected: arrow <id> <source> <target>"),
     ("quiver 2\narrow a 1 2\narrow a 2 1\n", "line 3: duplicate arrow id 'a'"),
     ("quiver 2\narrow a 1 b\n", "line 2: arrow endpoints must be integers"),
+    ("quiver 2\narrow a +1 2\n", "line 2: arrow endpoints must be integers"),
+    ("quiver 12\narrow a 1 1_0\n", "line 2: arrow endpoints must be integers"),
     ("quiver 2\narrow a 1 3\n", "line 2: endpoint outside 1..2"),
+    ("quiver 2\narrow a -1 2\n", "line 2: endpoint outside 1..2"),
     ("relations\n", "line 1: 'relations' before 'quiver'"),
     ("quiver 2\nrelations\nrelations\n", "line 3: duplicate 'relations' directive"),
     ("quiver 2\nrel a\n", "line 2: 'rel' before 'relations'"),
     ("quiver 2\nrelations\nrel\n", "line 3: empty relation"),
     ("quiver 2\nloop a 1\n", "line 2: unknown directive 'loop'"),
     ("# nothing\n\n", "line 1: missing 'quiver' directive"),
-    ("quiver 2\narrow a-b 1 2\n", "line 1: arrow id 'a-b' is not an ASCII word"),
+    ("quiver 2\narrow a-b 1 2\n", "line 2: arrow id 'a-b' is not an ASCII word"),
+    (
+        "# c\nquiver 3\narrow ok 1 2\n\narrow b-c 2 3\n",
+        "line 5: arrow id 'b-c' is not an ASCII word",
+    ),
     ("quiver 2\narrow a 1 2\nrelations\nrel a z\n", "line 4: unknown arrow id 'z' in relation"),
     (
         "quiver 2\narrow a 1 2\nrelations\nrel a a\n",

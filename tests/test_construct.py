@@ -212,22 +212,38 @@ def _pull_back(relabeled, sigma):
     return tuple(qd.Path(inv.apply(g.source), inv.apply(g.target), g.word) for g in relabeled)
 
 
+def _ideal_by_definition(q, kind, m):
+    """The ideal of a certificate ``kind`` on q in labels 1..n, read off
+    its definition, without the package's builder: every length-2 path
+    whose middle vertex is larger than both ends; for the chain kinds every
+    path i -> i+1 -> i+2 with i + 2 <= m (i + 2 <= m - 2 for the cubic
+    kind); for the cubic kind also every path m-3 -> m-2 -> m-1 -> m that
+    has none of those as an infix.  In the order of a reduced relation set."""
+    last = 0 if kind == construct.LOCAL_MAX else m - 2 if kind == construct.CYCLE_CUBIC else m
+    gens = []
+    for p in short_paths(q):
+        vs = (p.source,) + tuple(q.arrow(x).target for x in p.word)
+        if len(vs) == 3:
+            consecutive = vs == (vs[0], vs[0] + 1, vs[0] + 2) and vs[2] <= last
+            if vs[1] > max(vs[0], vs[2]) or consecutive:
+                gens.append(p)
+        elif kind == construct.CYCLE_CUBIC and vs == tuple(range(m - 3, m + 1)):
+            gens.append(p)
+    twos = {p.word for p in gens if p.length == 2}
+    gens = [p for p in gens if p.length == 2 or not {p.word[:2], p.word[1:]} & twos]
+    return sorted(gens, key=lambda p: (p.length, p.word, p.source))
+
+
 def _relabeled_reference(q, cert):
     """A certificate's ideal rebuilt the way the relabeling describes it:
-    relabel q, build the public ideal in labels 1..m, move it back."""
+    relabel q, build the ideal from its definition in labels 1..m, move it
+    back."""
     if cert.kind in (construct.SEMISIMPLE, construct.HEREDITARY):
         return ()
     sigma = cert.relabeling
     if cert.embedding is not None:
         assert sigma == qd.relabeling_from_embedding(q, cert.embedding)
-    relabeled = qd.relabel(q, sigma)
-    if cert.kind == construct.LOCAL_MAX:
-        rebuilt = qd.local_max_ideal(relabeled)
-    elif cert.kind == construct.CYCLE_CUBIC:
-        rebuilt = qd.chain_cubic_ideal(relabeled, cert.m)
-    else:
-        rebuilt = qd.chain_ideal(relabeled, cert.m)
-    return _pull_back(rebuilt, sigma)
+    return _pull_back(_ideal_by_definition(qd.relabel(q, sigma), cert.kind, cert.m), sigma)
 
 
 def test_certificates_equal_the_relabeled_construction():
@@ -268,7 +284,9 @@ def test_local_max_under_every_order_equals_the_relabeled_one():
             continue
         for perm in itertools.permutations(q.vertices()):
             sigma = qd.Relabeling(perm)
-            expect = _pull_back(qd.local_max_ideal(qd.relabel(q, sigma)), sigma)
+            expect = _pull_back(
+                _ideal_by_definition(qd.relabel(q, sigma), construct.LOCAL_MAX, None), sigma
+            )
             assert tuple(construct._ideal(q, sigma.apply)) == expect, (q, perm)
             checked += 1
     assert checked > 500

@@ -160,6 +160,68 @@ def test_products_check_their_exactness_bound():
     assert oracle._mul(tall, tall.T, p) == (p - 2) ** 2 * k % p
 
 
+def _rank_by_hand(rows, p):
+    """The rank mod p of a list of integer rows, by plain row reduction."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inverse % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _matrix_of_rank(rng, rows, cols, rank, p):
+    """A random rows x cols matrix of the given rank mod p: a product of a
+    factor with the identity at ``rank`` random rows and one with the
+    identity at ``rank`` random columns, all other entries random."""
+    left = rng.integers(0, p, size=(rows, rank))
+    left[rng.choice(rows, rank, replace=False)] = np.eye(rank, dtype=np.int64)
+    right = rng.integers(0, p, size=(rank, cols))
+    right[:, rng.choice(cols, rank, replace=False)] = np.eye(rank, dtype=np.int64)
+    return oracle._mul(left, right, p)
+
+
+def test_elimination_on_general_entries():
+    # Path-basis modules give 0/1 kernels; these matrices have entries all over [0, p).
+    rng = np.random.default_rng(29)
+    shapes = [(r, c) for r in (1, 3, 7) for c in (1, 4, 9)] + [(30, 45), (45, 30)]
+    for p in (2, 3, 101, oracle.MAX_PRIME):
+        for rows, cols in shapes:
+            for rank in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+                m = _matrix_of_rank(rng, rows, cols, rank, p)
+                assert _rank_by_hand(m.tolist(), p) == rank
+                rr, pivots = oracle._rref(m, p)
+                # reduced: identity at the pivots, zero left of each pivot
+                assert len(pivots) == rank and pivots == sorted(set(pivots))
+                assert np.array_equal(rr[:, pivots], np.eye(rank, dtype=np.int64))
+                assert all(not rr[i, : pivots[i]].any() for i in range(rank))
+                assert rr.min(initial=0) >= 0 and rr.max(initial=0) < p
+                # the same row space as m
+                assert _rank_by_hand(m.tolist() + rr.tolist(), p) == rank
+                basis, free = oracle._nullspace(m, p)
+                assert free == sorted(set(range(cols)) - set(pivots))
+                assert np.array_equal(basis[:, free], np.eye(len(free), dtype=np.int64))
+                assert not (m @ basis.T % p).any()
+                # a vector off the span: m sends e at a pivot column to that
+                # nonzero column of m, and e at a free column is zero at every pivot
+                offs = ([pivots[0]] if rank else [], [free[0]] if free else [])
+                for (span, unit), off in zip(((basis, free), (rr, pivots)), offs):
+                    c = rng.integers(0, p, size=(len(unit), 3))
+                    y = oracle._mul(span.T, c, p)
+                    assert np.array_equal(oracle._coords(span, unit, y, p), c)
+                    for j in off:
+                        y[j, 1] = (y[j, 1] + 1) % p
+                        with pytest.raises(ArithmeticError):
+                            oracle._coords(span, unit, y, p)
+
+
 def test_one_loop_quadratic_alternating_syzygies():
     algebra = one_loop_algebra(2)
     q = algebra.quiver
@@ -306,6 +368,41 @@ def _random_suite():
         checked += 1
     for _ in range(2):
         yield _sparse_line_algebra(rng), (ModuleSpec.simple, ModuleSpec.projective)
+
+
+def _fiber_index_rep(algebra, spec, p):
+    """The construction of ``rep_of`` that the path tree replaced, kept as
+    its reference: index every basis path of the module within its fiber,
+    then look each grown path up."""
+    q = algebra.quiver
+    index = {}
+    dims = {v: 0 for v in q.vertices()}
+    by_vertex = {v: [] for v in q.vertices()}
+    for path in algebra.module_basis(spec):
+        index[path] = dims[path.target]
+        dims[path.target] += 1
+        by_vertex[path.target].append(path)
+    action = {}
+    for a in q.arrows:
+        m = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
+        for col, path in enumerate(by_vertex[a.source]):
+            row = index.get(qd.Path(path.source, a.target, path.word + (a.id,)))
+            if row is not None:
+                m[row, col] = 1
+        action[a.id] = m
+    return oracle.Rep(q, p, dims, action)
+
+
+def test_rep_of_matches_the_fiber_index_construction():
+    for algebra, builds in _random_suite():
+        q = algebra.quiver
+        for spec in (b(q, i) for b in builds for i in q.vertices()):
+            rep, want = oracle.rep_of(algebra, spec), _fiber_index_rep(algebra, spec, 101)
+            assert rep.dims == want.dims, (algebra.relations, spec)
+            assert rep.action.keys() == want.action.keys()
+            for a in q.arrows:
+                assert rep.action[a.id].dtype == want.action[a.id].dtype
+                assert np.array_equal(rep.action[a.id], want.action[a.id]), (spec, a)
 
 
 def _scrambled(rep, rng):
