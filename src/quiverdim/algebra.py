@@ -53,7 +53,8 @@ class RelationSet:
     distinct lengths in ascending order, so an infix or suffix test looks up
     one window per relation length and start instead of scanning the
     relations.  ``rests`` maps each nonempty proper prefix u of a relation
-    r = u ++ v to the remainders v.
+    r = u ++ v to the remainders v.  ``_quiver`` is None, or a quiver
+    ``qvfile.parse`` built every generator from (see ``_of``).
     """
 
     generators: tuple[Path, ...]
@@ -74,7 +75,7 @@ class RelationSet:
         """
         given = tuple(paths)
         words, lengths, rests = set(), [], {}
-        vars(self).update(_words=words, lengths=lengths, rests=rests)
+        vars(self).update(_words=words, lengths=lengths, rests=rests, _quiver=None)
         kept = []
         for p in sorted(given, key=Path.sort_key):
             word = p.word
@@ -95,6 +96,10 @@ class RelationSet:
                     f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
                 )
         object.__setattr__(self, "generators", tuple(kept) if drop else given)
+
+    def _of(self, quiver: Quiver) -> "RelationSet":
+        vars(self)["_quiver"] = quiver
+        return self
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -211,7 +216,8 @@ class Algebra:
     The chain graph of ``homology`` belongs to the algebra, not to one
     module, so every simple, ``pdim``, ``resolve`` and cycle search shares
     it.  ``successors`` memoises ``homology.chain_successors`` per generator
-    path.  ``depths`` holds the longest chain length from each path a
+    path; a path the walk has produced but not yet expanded maps to None.
+    ``depths`` holds the longest chain length from each path a
     ``pdim`` walk has entered, ``math.inf`` for a path that reaches a cycle;
     the length depends on the path and the relations alone, so a depth
     recorded for one module holds for every other.  ``resolve`` searches
@@ -221,7 +227,9 @@ class Algebra:
     admissibility walk leaves for ``qh``.  Apart from these caches the
     algebra is immutable after construction, and it stays safe to share
     between threads: every cache entry is deterministic, so a race only
-    computes the same value twice.
+    computes the same value twice.  The constructor checks that every
+    relation is a path of ``quiver``, unless ``qvfile.parse`` built the set
+    from this very quiver object.
     """
 
     def __init__(
@@ -233,13 +241,14 @@ class Algebra:
         self.quiver = quiver
         if not isinstance(relations, RelationSet):
             relations = reduce_relations(relations)
-        for g in relations:
-            if not quiver.has_path(g):
-                raise ValueError(f"relation {g} is not a path of the quiver")
+        if relations._quiver is not quiver:
+            for g in relations:
+                if not quiver.has_path(g):
+                    raise ValueError(f"relation {g} is not a path of the quiver")
         self.relations = relations
         self.basis_cap = basis_cap
         self.lmax = max(relations.lengths, default=0)
-        self.successors: dict[Path, tuple[Path, ...]] = {}
+        self.successors: dict[Path, Optional[tuple[Path, ...]]] = {}
         self.depths: dict[Path, int | float] = {}
         self.transitions: dict[tuple, tuple] = {}
         self.window_depths: dict[tuple, int | float] = {}

@@ -14,6 +14,9 @@ calls it only without ``--json``, so a JSON run never formats text.
 
 The mod-p oracle, and with it numpy, is imported only by ``verify`` and
 ``oracle-check``; the other commands never load it.
+
+``--max-deg`` must lie in 0..``MAX_DEG``, checked before admissibility: a
+truncated resolution computes and prints every degree up to it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ from . import construct, homology, qh, qvfile, render
 from .algebra import Algebra, BasisCapExceeded, ModuleSpec, RelationSet
 from .homology import ExtNat, InfiniteResolutionError
 from .quiver import Quiver
+
+MAX_DEG = 10_000
+
+
+def _check_max_deg(max_deg: Optional[int]) -> None:
+    if max_deg is not None and max_deg < 0:
+        raise ValueError("max_deg must be >= 0")
+    if max_deg is not None and max_deg > MAX_DEG:
+        raise ValueError(f"max_deg must be <= {MAX_DEG}")
 
 
 def _ext(value: ExtNat):
@@ -79,6 +91,7 @@ def cmd_gldim(args, quiver, relations):
 
 
 def cmd_resolve(args, quiver, relations):
+    _check_max_deg(args.max_deg)
     algebra = _admissible(quiver, relations)
     spec = parse_module_spec(quiver, args.module)
     try:
@@ -198,8 +211,7 @@ def _engine_comparisons(algebra: Algebra, max_deg: int, p: Optional[int]):
     from . import oracle
 
     q = algebra.quiver
-    if max_deg < 0:
-        raise ValueError("max_deg must be >= 0")
+    _check_max_deg(max_deg)
     p = oracle.DEFAULT_PRIME if p is None else p
     oracle._require_prime(p)
 

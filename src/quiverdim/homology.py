@@ -17,9 +17,13 @@ every path it enters is memoised in ``Algebra.depths``, ``math.inf`` once
 the path is known to reach a cycle, and later walks skip it.  ``resolve``
 walks with a fresh memo, so the cycle it reports is the one a fresh algebra
 would, whatever ran before; its own level walk visits every node that
-search does.  Successors are memoised in
-``Algebra.successors``; a miss checks the path and finds them in one pass
-over the relation-prefix table, with no zero test.  Only relations are
+search does.  Successors are memoised in ``Algebra.successors`` and found
+in one pass over the relation-prefix table, with no zero test.  A miss
+checks the path, so a path from a caller is checked once; the paths the
+walk builds itself are entered in the memo unexpanded and never checked: a
+level one holds arrows, and a successor is a proper suffix of a relation of
+a reduced set, so both are nonzero.  The simples of ``gldim`` take their
+level one straight from the quiver's out-arrows.  Only relations are
 consulted, never the path basis: the cost tracks the relation count and
 the chain-graph size, not the (possibly exponential) dimension.
 The linear-algebra engine in ``oracle`` recomputes all of this independently.
@@ -75,28 +79,41 @@ def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
     one as a proper prefix is redundant and dropped; the survivors are
     exactly the minimal generators of the kernel of P(target g) -> <g>.
     The result is memoised on the algebra, and ``g`` is checked only on a
-    cache miss: every cached path passed those checks once.
+    cache miss.  A path in the memo needs no check: it passed the checks,
+    or the walk entered it (mapped to None) as an arrow or as a successor.
     """
-    cached = algebra.successors.get(g)
+    memo = algebra.successors
+    cached = memo.get(g)
     if cached is None:
-        if g.length < 1:
-            raise ValueError("successors need a path of length >= 1")
-        if algebra.is_zero_path(g):
-            raise ValueError(f"{g} is zero in the algebra")
+        if g not in memo:
+            if g.length < 1:
+                raise ValueError("successors need a path of length >= 1")
+            if algebra.is_zero_path(g):
+                raise ValueError(f"{g} is zero in the algebra")
         found = set(algebra.relations.remainders(g.word))
         minimal = [v for v in found if not any(v[:k] in found for k in range(1, len(v)))]
         minimal.sort()
         minimal.sort(key=len)  # all start at target(g): the order of Path.sort_key
         arrows = algebra.quiver.arrow_by_id
         cached = tuple(Path(g.target, arrows[v[-1]].target, v) for v in minimal)
-        algebra.successors[g] = cached
+        for k in cached:
+            memo.setdefault(k, None)
+        memo[g] = cached
     return cached
+
+
+def _enter(algebra: Algebra, vertex: int, arrows) -> list[Path]:
+    """Arrows out of ``vertex`` as paths in id order, entered in the memo."""
+    level = [Path(vertex, a.target, (a.id,)) for a in sorted(arrows)]
+    for g in level:
+        algebra.successors.setdefault(g, None)
+    return level
 
 
 def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
     algebra.check_module(spec)  # every killed arrow starts at spec.vertex
     arrows = algebra.quiver.arrow_by_id
-    return [Path(spec.vertex, arrows[aid].target, (aid,)) for aid in sorted(spec.killed)]
+    return _enter(algebra, spec.vertex, [arrows[aid] for aid in spec.killed])
 
 
 def _walk(algebra: Algebra, starts: list[Path], depths: dict) -> Optional[list[Path]]:
@@ -141,7 +158,10 @@ def resolve(
 def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
     """Projective dimension of M(i, S); math.inf when unbounded."""
     algebra.require_admissible()
-    starts = _level_one(algebra, spec)
+    return _pdim(algebra, _level_one(algebra, spec))
+
+
+def _pdim(algebra: Algebra, starts: list[Path]) -> ExtNat:
     if not starts:
         return 0
     if _walk(algebra, starts, algebra.depths) is not None:
@@ -150,8 +170,9 @@ def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
 
 
 def pdims_of_simples(algebra: Algebra) -> dict[int, ExtNat]:
-    q = algebra.quiver
-    return {i: pdim(algebra, ModuleSpec.simple(q, i)) for i in q.vertices()}
+    """``pdim`` of each simple, whose level one is every out-arrow."""
+    algebra.require_admissible()
+    return {v: _pdim(algebra, _enter(algebra, v, out)) for v, out in algebra.quiver._out.items()}
 
 
 def gldim(algebra: Algebra) -> ExtNat:

@@ -77,10 +77,21 @@ def compose(p: Path, q: Path) -> Path:
 
 @dataclass(frozen=True)
 class Quiver:
-    """Finite directed multigraph on vertices 1..n with named arrows."""
+    """Finite directed multigraph on vertices 1..n with named arrows.
+
+    The constructor checks the arrows; ``qvfile.parse`` checks them line by
+    line instead, to name the line, and builds its quiver with ``_checked``
+    from the id table it checked them with.
+    """
 
     n: int
     arrows: tuple[Arrow, ...]
+
+    @classmethod
+    def _checked(cls, n: int, by_id: dict[str, Arrow]) -> "Quiver":
+        q = object.__new__(cls)  # n >= 0 and arrows that pass __post_init__
+        vars(q).update(n=n, arrows=tuple(by_id.values()), arrow_by_id=by_id)
+        return q
 
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(self.arrows))

@@ -12,6 +12,9 @@ Line-oriented::
 ids in traversal order (first-traversed arrow first); the emitter also
 writes the reversed, composition-order string in a trailing comment since
 algebra texts usually print words that way.
+
+``parse`` checks each arrow and relation once, on its line; neither the
+``Quiver`` nor the ``Algebra`` built from its result checks them again.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ class QvParseError(ValueError):
 
 def parse(text: str) -> tuple[Quiver, RelationSet]:
     n = None
-    arrows: list[Arrow] = []
-    arrow_ids: set[str] = set()
+    by_id: dict[str, Arrow] = {}
     rel_lines: list[tuple[int, list[str]]] = []
     in_relations = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -56,7 +58,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
             aid, source, target = fields[1:]
             if not _ID_RE.match(aid):  # the message of Quiver's own check
                 raise QvParseError(line_no, f"arrow id {aid!r} is not an ASCII word")
-            if aid in arrow_ids:
+            if aid in by_id:
                 raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
             # an optional minus and decimal digits: int() would also take "+1" and "1_0"
             if not (source.removeprefix("-").isdecimal() and target.removeprefix("-").isdecimal()):
@@ -64,8 +66,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
             s, t = int(source), int(target)
             if not (1 <= s <= n and 1 <= t <= n):
                 raise QvParseError(line_no, f"endpoint outside 1..{n}")
-            arrow_ids.add(aid)
-            arrows.append(Arrow(aid, s, t))
+            by_id[aid] = Arrow(aid, s, t)
         elif directive == "relations":
             if n is None:
                 raise QvParseError(line_no, "'relations' before 'quiver'")
@@ -82,22 +83,24 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
             raise QvParseError(line_no, f"unknown directive {directive!r}")
     if n is None:
         raise QvParseError(1, "missing 'quiver' directive")
-    quiver = Quiver(n, tuple(arrows))
+    quiver = Quiver._checked(n, by_id)
     paths: list[Path] = []
     for line_no, word in rel_lines:
         try:  # one lookup per arrow; an unknown id is reported before a break
-            walk = [quiver.arrow_by_id[aid] for aid in word]
+            walk = [by_id[aid] for aid in word]
         except KeyError as exc:
             raise QvParseError(line_no, f"unknown arrow id {exc.args[0]!r} in relation") from None
-        for a, b in zip(walk, walk[1:]):
-            if a.target != b.source:  # the message of Quiver.path's CompositionError
+        _, start, at = walk[0]
+        for bid, source, target in walk[1:]:
+            if at != source:  # the message of Quiver.path's CompositionError
                 raise QvParseError(line_no, f"relation does not compose: word {tuple(word)} "
-                                   f"breaks at {b.id!r}: expected source {a.target}, "
-                                   f"got {b.source}")
+                                   f"breaks at {bid!r}: expected source {at}, "
+                                   f"got {source}")
+            at = target
         if len(word) < 2:
             raise QvParseError(line_no, "relations must have length >= 2")
-        paths.append(Path(walk[0].source, walk[-1].target, tuple(word)))
-    return quiver, reduce_relations(paths)
+        paths.append(Path(start, at, tuple(word)))
+    return quiver, reduce_relations(paths)._of(quiver)
 
 
 def emit(quiver: Quiver, relations: RelationSet = RelationSet(())) -> str:

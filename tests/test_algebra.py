@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverdim as qd
+from quiverdim import qvfile
 from quiverdim.algebra import ModuleSpec
 from quiverdim.quiver import has_oriented_cycle
 
@@ -74,6 +75,15 @@ def test_is_zero_rejects_foreign_path(golden):
     other = linear_quiver(3)
     with pytest.raises(ValueError):
         golden.is_zero_path(other.path(1, ("a1",)))
+
+
+def test_parsed_relations_are_checked_against_another_quiver(golden):
+    q, relations = qvfile.parse(qvfile.emit(golden.quiver, golden.relations))
+    assert qd.Algebra(q, relations).relations is relations
+    # the same arrow ids, every arrow reversed: a.d no longer starts at 1
+    reversed_q = qd.Quiver(q.n, tuple(qd.Arrow(a.id, a.target, a.source) for a in q.arrows))
+    with pytest.raises(ValueError, match="is not a path of the quiver"):
+        qd.Algebra(reversed_q, relations)
 
 
 def test_zero_is_monotone_under_extension():

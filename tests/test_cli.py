@@ -55,6 +55,35 @@ def test_check_sqh_never_builds_the_basis(monkeypatch, capsys):
     assert {"exit": code, "stdout": out, "stderr": err} == want
 
 
+@pytest.mark.parametrize("shape", ["K5-localmax", "A30-chain"])
+def test_gldim_checks_each_fact_once(shape, tmp_path, monkeypatch, capsys):
+    # qvfile.parse checks every relation; Algebra and the chain walk trust
+    # the set and the paths built from it, so gldim makes no path check
+    # and no zero test.
+    if shape == "K5-localmax":
+        q, gldim = complete_quiver(5), 2
+        relations = qd.local_max_ideal(q)
+    else:
+        q, gldim = linear_quiver(30), 29
+        relations = qd.chain_ideal(q, 30)
+    path = tmp_path / f"{shape}.qv"
+    path.write_text(qvfile.emit(q, relations))
+    calls = {"has_path": 0, "is_zero_word": 0}
+    for owner, name in ((qd.Quiver, "has_path"), (qd.Algebra, "is_zero_word")):
+
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert cli.main(["gldim", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gldim"] == gldim
+    assert calls == {"has_path": 0, "is_zero_word": 0}
+    # the same relations from a library caller are checked
+    qd.Algebra(q, relations)
+    assert calls["has_path"] == len(relations) > 0
+
+
 def test_not_admissible_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "free.qv"
     path.write_text(qvfile.emit(golden_quiver()))
@@ -97,6 +126,14 @@ def test_removed_options_are_usage_errors(argv, golden_file):
         (["resolve", "--module", "S:1", "--max-deg", "-1"], "max_deg must be >= 0"),
         (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
         (["oracle-check", "--max-deg", "-1"], "max_deg must be >= 0"),
+        # refused before any degree is computed: each takes time and prints
+        (["resolve", "--module", "S:1", "--max-deg", "10001"], "max_deg must be <= 10000"),
+        (["verify", "--max-deg", "10001"], "max_deg must be <= 10000"),
+        (["oracle-check", "--max-deg", "10001"], "max_deg must be <= 10000"),
+        (
+            ["resolve", "--module", "S:1", "--max-deg", "99999999999999999999"],
+            "max_deg must be <= 10000",
+        ),
         # a large prime is refused before trial division, a huge one before
         # any float conversion
         pytest.param(
@@ -125,6 +162,9 @@ def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys
         (["verify", "--max-deg", "-1"], "max_deg must be >= 0"),
         (["oracle-check", "--field", "4"], "4 is not prime"),
         (["oracle-check", "--max-deg", "-1"], "max_deg must be >= 0"),
+        (["resolve", "--module", "S:1", "--max-deg", "10001"], "max_deg must be <= 10000"),
+        (["verify", "--max-deg", "10001"], "max_deg must be <= 10000"),
+        (["oracle-check", "--max-deg", "99999999999999999999"], "max_deg must be <= 10000"),
     ],
 )
 def test_bad_numeric_options_precede_the_admissibility_check(argv, message, capsys):
@@ -133,6 +173,15 @@ def test_bad_numeric_options_precede_the_admissibility_check(argv, message, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_max_deg_accepts_its_bound(capsys):
+    one_loop = str(TESTS / "golden" / "one-loop.qv")  # pdim S(1) is infinite
+    argv = ["resolve", one_loop, "--module", "S:1", "--max-deg", str(cli.MAX_DEG), "--json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["complete"]
+    assert len(report["betti"]) == cli.MAX_DEG + 1
 
 
 def test_only_the_oracle_commands_load_numpy():

@@ -50,10 +50,19 @@ def test_successors_prune_prefixes():
 
 def test_successors_reject_bad_input(golden):
     q = golden.quiver
-    with pytest.raises(ValueError):
-        qd.chain_successors(golden, q.trivial_path(1))
-    with pytest.raises(ValueError):
-        qd.chain_successors(golden, q.path(1, ("a", "d")))
+    bad = [
+        q.trivial_path(1),
+        q.path(1, ("a", "d")),  # zero
+        qd.Path(1, 1, ("a",)),  # a runs 1 -> 2
+        qd.Path(3, 2, ("a",)),
+    ]
+    for warm in (False, True):
+        if warm:  # the walk has entered a, unchecked, as a level-one arrow
+            assert qd.gldim(golden) == 2
+            assert q.path(1, ("a",)) in golden.successors
+        for g in bad:
+            with pytest.raises(ValueError):
+                qd.chain_successors(golden, g)
 
 
 def test_resolve_simple_complete4(complete4_algebra):
