@@ -30,9 +30,8 @@ from .homology import (
     pdim,
     pdims_of_simples,
     resolve,
-    verify_local_max_resolution,
 )
-from .qh import SqhReport, check_strongly_qh, ringel_bound_check, verify_sequence_identities
+from .qh import SqhReport, check_strongly_qh
 from .quiver import (
     Arrow,
     CompositionError,

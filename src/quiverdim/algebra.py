@@ -53,8 +53,9 @@ class RelationSet:
     distinct lengths in ascending order, so an infix or suffix test looks up
     one window per relation length and start instead of scanning the
     relations.  ``rests`` maps each nonempty proper prefix u of a relation
-    r = u ++ v to the remainders v.  ``_quiver`` is None, or a quiver
-    ``qvfile.parse`` built every generator from (see ``_of``).
+    r = u ++ v to the remainders v.  ``_quiver`` is None, or the quiver
+    every generator was built from, set by ``_of``: a set is trusted only
+    when ``qvfile.parse`` or the planner built it for that very quiver.
     """
 
     generators: tuple[Path, ...]
@@ -228,8 +229,8 @@ class Algebra:
     algebra is immutable after construction, and it stays safe to share
     between threads: every cache entry is deterministic, so a race only
     computes the same value twice.  The constructor checks that every
-    relation is a path of ``quiver``, unless ``qvfile.parse`` built the set
-    from this very quiver object.
+    relation is a path of ``quiver``, unless ``qvfile.parse`` or the
+    planner built the set from this very quiver object.
     """
 
     def __init__(

@@ -180,8 +180,8 @@ def _certify(
     emb: Optional[Embedding],
     m: Optional[int],
 ) -> Certificate:
-    algebra = Algebra(q, ideal)
-    algebra.require_admissible()
+    # every route builds its ideal from q's own arrows: Algebra need not check it again
+    algebra = Algebra(q, ideal._of(q))
     pdims = homology.pdims_of_simples(algebra)
     verified = max(pdims.values(), default=0)
     if verified != target:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Optional, Union
 
 from .algebra import Algebra, ModuleSpec
@@ -179,35 +178,6 @@ def gldim(algebra: Algebra) -> ExtNat:
     """Global dimension: the maximum projective dimension of the simples."""
     values = pdims_of_simples(algebra)
     return max(values.values(), default=0)
-
-
-def verify_local_max_resolution(algebra: Algebra):
-    """Check the two-step closed form for the local-max ideal.
-
-    For that ideal each simple S(i) resolves as
-    degree 1 = sum of P(j)^r(i,j) over j != i, and
-    degree 2 = sum of P(k)^{r(i,j) r(j,k)} over j > i, k < j.
-    Returns (ok, mismatches) where each mismatch is
-    (vertex i, degree, vertex v, expected, got).
-    """
-    q = algebra.quiver
-    mismatches = []
-    for i in q.vertices():
-        deg1 = {j: q.r(i, j) for j in q.vertices() if j != i}
-        deg2: Counter[int] = Counter()
-        for j in range(i + 1, q.n + 1):
-            for k in range(1, j):
-                deg2[k] += q.r(i, j) * q.r(j, k)
-        got = resolve(algebra, ModuleSpec.simple(q, i))
-        expected = [{i: 1}, deg1, deg2]  # zero counts never mismatch
-        for d, (want, have) in enumerate(zip_longest(expected, got.betti, fillvalue={})):
-            want, have = Counter(want), Counter(have)
-            mismatches.extend(
-                (i, d, v, want[v], have[v])
-                for v in sorted(want.keys() | have.keys())
-                if want[v] != have[v]
-            )
-    return (not mismatches, mismatches)
 
 
 def check_euler_identity(algebra: Algebra, spec: ModuleSpec, res: Resolution) -> bool:

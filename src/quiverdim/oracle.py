@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -205,18 +205,6 @@ def rep_of(algebra: Algebra, spec: ModuleSpec, p: int = DEFAULT_PRIME) -> Rep:
     return Rep(q, p, dims, action)
 
 
-def check_relations(algebra: Algebra, rep: Rep) -> bool:
-    """Multiply out every relation's action matrices and test for zero."""
-    for rel in algebra.relations:
-        m = None
-        for arrow_id in rel.word:
-            step = rep.action[arrow_id]
-            m = step if m is None else _mul(step, m, rep.p)
-        if np.any(m):
-            return False
-    return True
-
-
 def _radical(rep: Rep) -> dict[int, list[int]]:
     """Per vertex, the pivot columns of an RREF basis of the radical (the
     sum of all incoming arrow images); none at a zero fiber."""
@@ -233,11 +221,6 @@ def _top_lifts(rep: Rep) -> dict[int, list[int]]:
     to the whole fiber: the non-pivot columns of its RREF basis."""
     rad = _radical(rep)
     return {v: sorted(set(range(rep.dims[v])) - set(rad[v])) for v in rep.quiver.vertices()}
-
-
-def top_dims(rep: Rep) -> dict[int, int]:
-    """Multiplicities of the simples in rep / rad rep (nonzero entries only)."""
-    return {v: len(ks) for v, ks in _top_lifts(rep).items() if ks}
 
 
 def _sub_rep(
@@ -322,14 +305,9 @@ def _cover_kernels(
     return _Cover(q, rep.p, cover_dims, maps), kernels
 
 
-def syzygy(
-    algebra: Algebra, rep: Rep, lifts: Optional[dict[int, list[int]]] = None
-) -> Rep:
+def syzygy(algebra: Algebra, rep: Rep, lifts: dict[int, list[int]]) -> Rep:
     """Kernel of the minimal projective cover map onto ``rep``, on the
-    kernel bases of ``_cover_kernels``.  ``lifts`` is ``_top_lifts(rep)``
-    when the caller already has it."""
-    if lifts is None:
-        lifts = _top_lifts(rep)
+    kernel bases of ``_cover_kernels``; ``lifts`` is ``_top_lifts(rep)``."""
     return _sub_rep(*_cover_kernels(algebra, rep, lifts))
 
 

@@ -1,4 +1,4 @@
-"""Strongly quasi-hereditary checks and structural exact-sequence identities.
+"""The strong quasi-heredity check.
 
 An algebra here is strongly quasi-hereditary when for every vertex i the
 submodule of P(i) generated by the arrows to smaller vertices is a direct
@@ -14,13 +14,10 @@ automaton of ``Algebra``, and the Hom criterion dim Hom(P(j), Delta(i)) =
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from . import homology
-from .algebra import Algebra, ModuleSpec
-from .homology import ExtNat
+from .algebra import Algebra
 from .quiver import Relabeling
 
 
@@ -76,109 +73,3 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
         per_vertex[i] = SqhVertexReport(r_ok, delta_ok, delta_ok)
     overall = all(r.r_projective_ok and r.delta_factors_ok for r in per_vertex.values())
     return SqhReport(per_vertex, overall)
-
-
-def ringel_bound_check(algebra: Algebra, order: Optional[Relabeling] = None) -> bool:
-    """Strongly quasi-hereditary algebras (under ``order``, see
-    ``check_strongly_qh``) have global dimension at most n."""
-    report = check_strongly_qh(algebra, order=order)
-    if not report.overall:
-        raise ValueError("algebra is not strongly quasi-hereditary")
-    return homology.gldim(algebra) <= algebra.quiver.n
-
-
-def _total(*vectors: Counter[int]) -> Counter[int]:
-    """The sum of composition vectors; unlike ``+`` it keeps negative counts."""
-    acc: Counter[int] = Counter()
-    for vec in vectors:
-        acc.update(vec)
-    return acc
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-def verify_sequence_identities(algebra: Algebra, m: int) -> list[IdentityCheck]:
-    """Exact integer identities satisfied by chain-ideal algebras (line or
-    one-cycle on 1..m with consecutive relations).
-
-    Composition vectors of P, Delta and Gamma are compared degree by degree
-    against the exact sequences relating them, and the projective-dimension
-    recurrences along the line are checked with the chain engine.
-    """
-    q = algebra.quiver
-    if not (2 <= m <= q.n):
-        raise ValueError(f"m must be within 2..{q.n}")
-    algebra.require_admissible()
-    P, Gamma, Delta = ModuleSpec.projective, ModuleSpec.gamma, ModuleSpec.delta
-
-    def cv(spec: ModuleSpec, k: int = 1) -> Counter[int]:
-        """``k`` times the composition vector of ``spec``."""
-        return Counter({v: k * c for v, c in algebra.composition_vector(spec).items()})
-
-    def cv_r(i: int, k: int = 1) -> Counter[int]:
-        """``k`` times that of R(i), the sum of P(j)^r(i,j) over j < i."""
-        return _total(*(cv(P(q, j), k * q.r(i, j)) for j in range(1, i) if q.r(i, j)))
-
-    checks: list[IdentityCheck] = []
-
-    for i in range(1, m - 1):
-        lhs, r_i = cv(P(q, i)), cv_r(i)
-        gamma_next = cv(Gamma(q, i + 1), q.r(i, i + 1))
-        deltas = (cv(Delta(q, j), q.r(i, j)) for j in range(i + 2, q.n + 1) if q.r(i, j))
-        checks.append(
-            IdentityCheck(
-                f"simple_filtration_{i}",
-                lhs == _total(Counter({i: 1}), r_i, gamma_next, *deltas),
-                f"cv(P({i})) vs S+R+Gamma+Delta pieces",
-            )
-        )
-        checks.append(
-            IdentityCheck(
-                f"gamma_filtration_{i}",
-                lhs == _total(cv(Gamma(q, i)), r_i, gamma_next),
-                f"cv(P({i})) vs Gamma({i})+R+Gamma({i+1}) pieces",
-            )
-        )
-
-    r = q.r(m - 1, m)
-    checks.append(
-        IdentityCheck(
-            "gamma_tail",
-            _total(cv(P(q, m - 1)), cv(Gamma(q, m - 1), -1))
-            == _total(cv_r(m - 1), cv(P(q, m), r), cv_r(m, -r)),
-            f"cv(P({m-1})) - cv(Gamma({m-1})) vs R({m-1}) + r*(P({m}) - R({m}))",
-        )
-    )
-
-    for j in q.vertices():
-        pd = homology.pdim(algebra, ModuleSpec.delta(q, j))
-        checks.append(
-            IdentityCheck(f"delta_pdim_{j}", pd <= 1, f"pdim(Delta({j})) = {pd}")
-        )
-
-    gamma_pd: dict[int, ExtNat] = {
-        i: homology.pdim(algebra, ModuleSpec.gamma(q, i)) for i in range(1, m)
-    }
-    for i in range(1, m - 1):
-        ok = gamma_pd[i] == gamma_pd[i + 1] + 1
-        checks.append(
-            IdentityCheck(
-                f"gamma_recurrence_{i}",
-                ok,
-                f"pdim(Gamma({i}))={gamma_pd[i]} vs pdim(Gamma({i+1}))+1={gamma_pd[i+1]+1}",
-            )
-        )
-        spd = homology.pdim(algebra, ModuleSpec.simple(q, i))
-        checks.append(
-            IdentityCheck(
-                f"simple_recurrence_{i}",
-                spd == gamma_pd[i + 1] + 1,
-                f"pdim(S({i}))={spd} vs pdim(Gamma({i+1}))+1={gamma_pd[i+1]+1}",
-            )
-        )
-    return checks

@@ -15,14 +15,20 @@ algebra texts usually print words that way.
 
 ``parse`` checks each arrow and relation once, on its line; neither the
 ``Quiver`` nor the ``Algebra`` built from its result checks them again.
+Numbers are ASCII digits, and a quiver has at most ``MAX_VERTICES``
+vertices.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 
 from .algebra import RelationSet, reduce_relations
 from .quiver import _ID_RE, Arrow, Path, Quiver
+
+MAX_VERTICES = 100_000
+_DIGITS = re.compile(r"[0-9]+\Z")  # int() would also take "+1", "1_0" and other scripts' digits
 
 
 class QvParseError(ValueError):
@@ -45,9 +51,11 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
         if directive == "quiver":
             if n is not None:
                 raise QvParseError(line_no, "duplicate 'quiver' directive")
-            if len(fields) != 2 or not fields[1].isdecimal():
+            if len(fields) != 2 or not _DIGITS.match(fields[1]):
                 raise QvParseError(line_no, "expected: quiver <vertex count>")
             n = int(fields[1])
+            if n > MAX_VERTICES:
+                raise QvParseError(line_no, f"more than {MAX_VERTICES} vertices")
         elif directive == "arrow":
             if n is None:
                 raise QvParseError(line_no, "'arrow' before 'quiver'")
@@ -60,8 +68,7 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, f"arrow id {aid!r} is not an ASCII word")
             if aid in by_id:
                 raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
-            # an optional minus and decimal digits: int() would also take "+1" and "1_0"
-            if not (source.removeprefix("-").isdecimal() and target.removeprefix("-").isdecimal()):
+            if not all(_DIGITS.match(end.removeprefix("-")) for end in (source, target)):
                 raise QvParseError(line_no, "arrow endpoints must be integers")
             s, t = int(source), int(target)
             if not (1 <= s <= n and 1 <= t <= n):

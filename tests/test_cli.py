@@ -57,8 +57,9 @@ def test_check_sqh_never_builds_the_basis(monkeypatch, capsys):
 
 @pytest.mark.parametrize("shape", ["K5-localmax", "A30-chain"])
 def test_gldim_checks_each_fact_once(shape, tmp_path, monkeypatch, capsys):
-    # qvfile.parse checks every relation; Algebra and the chain walk trust
-    # the set and the paths built from it, so gldim makes no path check
+    # qvfile.parse checks every relation, and the planner builds its ideals
+    # from the quiver's arrows; Algebra and the chain walk trust the set and
+    # the paths built from it, so gldim and construct make no path check
     # and no zero test.
     if shape == "K5-localmax":
         q, gldim = complete_quiver(5), 2
@@ -78,6 +79,9 @@ def test_gldim_checks_each_fact_once(shape, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(owner, name, counted)
     assert cli.main(["gldim", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["gldim"] == gldim
+    assert calls == {"has_path": 0, "is_zero_word": 0}
+    assert cli.main(["construct", str(path), "--target", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gldim"] == 3
     assert calls == {"has_path": 0, "is_zero_word": 0}
     # the same relations from a library caller are checked
     qd.Algebra(q, relations)
@@ -239,6 +243,10 @@ BAD_QV1 = [
     ("quiver 2\nquiver 2\n", "line 2: duplicate 'quiver' directive"),
     ("quiver 2 3\n", "line 1: expected: quiver <vertex count>"),
     ("quiver \u00b2\n", "line 1: expected: quiver <vertex count>"),  # a digit, not decimal
+    ("quiver \u0663\n", "line 1: expected: quiver <vertex count>"),  # a decimal, not ASCII
+    ("quiver 3\narrow a \u0661 \u0662\n", "line 2: arrow endpoints must be integers"),
+    ("quiver 100001\n", "line 1: more than 100000 vertices"),
+    ("quiver 99999999999999999999\n", "line 1: more than 100000 vertices"),
     ("arrow a 1 2\n", "line 1: 'arrow' before 'quiver'"),
     ("quiver 2\nrelations\narrow a 1 2\n", "line 3: 'arrow' after 'relations'"),
     ("quiver 2\narrow a 1\n", "line 2: expected: arrow <id> <source> <target>"),

@@ -1,12 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quiverdim as qd
-from quiverdim import homology
 from quiverdim.algebra import ModuleSpec
 
 from conftest import (
@@ -142,9 +142,28 @@ def test_pdim_agrees_with_public_successor_chains():
             assert qd.pdim(algebra, spec) == expect
 
 
+def local_max_mismatches(algebra):
+    """The vertices i, with their Betti data, where ``resolve`` departs from
+    the local-max ideal's closed form: S(i) resolves as the sum of
+    P(j)^r(i,j) over j != i, then of P(k)^{r(i,j) r(j,k)} over j > i, k < j."""
+    q = algebra.quiver
+    mismatches = []
+    for i in q.vertices():
+        deg2 = Counter()
+        for j in range(i + 1, q.n + 1):
+            for k in range(1, j):
+                deg2[k] += q.r(i, j) * q.r(j, k)
+        want = [Counter({i: 1}), +Counter({j: q.r(i, j) for j in q.vertices() if j != i}), +deg2]
+        while not want[-1]:
+            want.pop()
+        got = [Counter(layer) for layer in qd.resolve(algebra, ModuleSpec.simple(q, i)).betti]
+        if got != want:
+            mismatches.append((i, got))
+    return mismatches
+
+
 def test_verify_local_max_closed_form_positive(complete4_algebra):
-    ok, mismatches = qd.verify_local_max_resolution(complete4_algebra)
-    assert ok and mismatches == []
+    assert local_max_mismatches(complete4_algebra) == []
 
 
 def test_verify_local_max_closed_form_random():
@@ -152,21 +171,19 @@ def test_verify_local_max_closed_form_random():
     for _ in range(25):
         q = random_loopless_quiver(rng, n_max=6, r_max=2)
         algebra = qd.Algebra(q, qd.local_max_ideal(q))
-        ok, mismatches = qd.verify_local_max_resolution(algebra)
-        assert ok, mismatches
+        assert local_max_mismatches(algebra) == []
         assert qd.gldim(algebra) <= 2
 
 
 def test_verify_local_max_closed_form_arrowless():
     algebra = qd.Algebra(qd.Quiver(3, ()), ())
-    assert qd.verify_local_max_resolution(algebra)[0]
+    assert local_max_mismatches(algebra) == []
 
 
 def test_verify_local_max_closed_form_detects_mismatch(golden):
     q = golden.quiver
     prime = qd.Algebra(q, list(golden.relations) + [q.path(1, ("a", "b"))])
-    ok, mismatches = qd.verify_local_max_resolution(prime)
-    assert not ok and mismatches
+    assert local_max_mismatches(prime)
 
 
 def test_gldim_invariant_under_relabeling():
@@ -254,7 +271,7 @@ def test_homology_never_builds_the_basis(n):
     local_max = qd.Algebra(q, qd.local_max_ideal(q), basis_cap=1000)
     chain = qd.Algebra(q, qd.chain_ideal(q, n), basis_cap=1000)
     assert qd.gldim(local_max) == 2
-    assert qd.verify_local_max_resolution(local_max) == (True, [])
+    assert local_max_mismatches(local_max) == []
     assert qd.gldim(chain) == n
     assert qd.pdims_of_simples(chain) == {i: n + 1 - i for i in q.vertices()}
     for i in q.vertices():

@@ -75,6 +75,19 @@ def test_r_multiplicities():
     assert q.r(1, 1) == 0
 
 
+def assert_embedding_valid(q, emb):
+    """``emb`` is a path of ``q`` on distinct vertices, closed by its return
+    arrow, if it has one, into the vertex at ``return_index``."""
+    assert len(set(emb.vertices)) == emb.m
+    steps = list(zip(emb.vertices, emb.vertices[1:]))
+    assert [(q.arrow(a).source, q.arrow(a).target) for a in emb.arrows] == steps
+    assert (emb.cycle_arrow is None) == (emb.return_index is None)
+    if emb.cycle_arrow is not None:
+        assert 1 <= emb.return_index < emb.m
+        back = q.arrow(emb.cycle_arrow)
+        assert (back.source, back.target) == (emb.vertices[-1], emb.vertices[emb.return_index - 1])
+
+
 def test_a_embedding_counts_complete4():
     q = complete_quiver(4)
     assert sum(1 for _ in qd.find_a_embeddings(q, 2)) == 12
@@ -92,8 +105,7 @@ def test_a_embeddings_are_valid_and_deterministic():
     second = list(qd.find_a_embeddings(q, 3))
     assert first == second
     for emb in first:
-        emb.validate(q)
-        assert len(set(emb.vertices)) == emb.m
+        assert_embedding_valid(q, emb)
 
 
 def test_parallel_arrows_give_distinct_embeddings():
@@ -134,7 +146,7 @@ def test_x_embedding_golden_prefers_maximal_return():
     assert emb is not None
     assert emb.vertices == (1, 2, 3)
     assert emb.cycle_arrow == "e" and emb.return_index == 2
-    emb.validate(q)
+    assert_embedding_valid(q, emb)
 
 
 def test_x_embedding_absent_on_acyclic():
