@@ -198,7 +198,14 @@ class Admissibility:
 
 
 class BasisIndex:
-    """All nonzero paths, sorted by (length, word, source vertex)."""
+    """All nonzero paths, sorted by (length, word, source vertex).
+
+    The tables other layers derive from the paths from each vertex live
+    here, so each is built once per algebra, when first needed:
+    ``projective_vectors`` for the Euler check of ``homology``, and
+    ``trees``, which ``oracle`` fills with its path tree of a vertex's
+    paths the first time a projective cover needs it.
+    """
 
     def __init__(self, paths: list[Path]):
         self.paths = tuple(paths)
@@ -206,6 +213,13 @@ class BasisIndex:
         for p in self.paths:  # the trivial paths come first, by source
             by_source.setdefault(p.source, []).append(p)
         self.by_source = {v: tuple(ps) for v, ps in by_source.items()}
+        self.trees: dict[int, tuple] = {}
+
+    @cached_property
+    def projective_vectors(self) -> dict[int, Counter[int]]:
+        """Per vertex v, the composition vector of P(v): how many paths
+        from v end at each vertex."""
+        return {v: Counter(p.target for p in ps) for v, ps in self.by_source.items()}
 
     def __len__(self) -> int:
         return len(self.paths)

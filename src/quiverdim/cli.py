@@ -13,7 +13,10 @@ the command has only text (``render``, an infinite ``resolve``), and
 calls it only without ``--json``, so a JSON run never formats text.
 
 The mod-p oracle, and with it numpy, is imported only by ``verify`` and
-``oracle-check``; the other commands never load it.
+``oracle-check``; the other commands never load it.  Both resolve each
+distinct module once, however many of the S, Delta and Gamma labels name
+it: one chain resolution, one matrix resolution per prime and, in
+``verify``, one Euler check.
 
 ``--max-deg`` must lie in 0..``MAX_DEG``, checked before admissibility: a
 truncated resolution computes and prints every degree up to it.
@@ -203,26 +206,35 @@ def cmd_check_sqh(args, quiver, relations):
     return (0 if report.overall else 1), payload, text
 
 
-def _engine_comparisons(algebra: Algebra, max_deg: int, p: Optional[int]):
-    """Each S, Delta and Gamma module, named like ``Delta_2``, with its
-    chain and matrix resolutions over GF(p) (``oracle.DEFAULT_PRIME`` when
-    p is None) and whether the two agree.  ``p`` and ``max_deg`` are
-    checked at the call; the modules are resolved lazily, as iterated."""
+def _engine_comparisons(algebra: Algebra, max_deg: int, fields: list[Optional[int]]):
+    """For each prime p of ``fields`` (``oracle.DEFAULT_PRIME`` for None)
+    and each S, Delta and Gamma module, named like ``Delta_2``: p, the
+    name, the spec, its chain resolution and its matrix resolution over
+    GF(p), and whether the two agree.  ``max_deg`` and the primes are
+    checked at the call; the modules are resolved lazily, as iterated.
+    Labels often name one module twice (Gamma_i = S_i on a line), so each
+    distinct spec is resolved once by the chain engine and once per prime
+    by the oracle, and a repeat gets the same objects back."""
     from . import oracle
 
     q = algebra.quiver
     _check_max_deg(max_deg)
-    p = oracle.DEFAULT_PRIME if p is None else p
-    oracle._require_prime(p)
+    primes = [oracle.DEFAULT_PRIME if p is None else p for p in fields]
+    for p in primes:
+        oracle._require_prime(p)
+    chain_of = functools.cache(lambda spec: homology.resolve(algebra, spec, max_deg=max_deg))
+    matrix_of = functools.cache(
+        lambda spec, p: oracle.minimal_resolution(algebra, spec, max_deg, p=p)
+    )
 
-    def compare(label: str, i: int):
+    def compare(p: int, label: str, i: int):
         spec = SHORTHANDS[label](q, i)
-        chain = homology.resolve(algebra, spec, max_deg=max_deg)
-        matrix = oracle.minimal_resolution(algebra, spec, max_deg, p=p)
+        chain, matrix = chain_of(spec), matrix_of(spec, p)
         same = chain.betti == matrix.betti and chain.complete == matrix.complete
-        return f"{label}_{i}", spec, chain, matrix, same
+        return p, f"{label}_{i}", spec, chain, matrix, same
 
-    return (compare(label, i) for label in ("S", "Delta", "Gamma") for i in q.vertices())
+    labels = ("S", "Delta", "Gamma")
+    return (compare(p, label, i) for p in primes for label in labels for i in q.vertices())
 
 
 def _checks_report(checks: list[dict], passed: str, failed: str):
@@ -240,18 +252,21 @@ def _checks_report(checks: list[dict], passed: str, failed: str):
 def cmd_verify(args, quiver, relations):
     algebra = Algebra(quiver, relations)
     # Checks --max-deg and --field before the admissibility check.
-    comparisons = _engine_comparisons(algebra, args.max_deg, args.field)
+    comparisons = _engine_comparisons(algebra, args.max_deg, [args.field])
     adm = algebra.admissibility
     detail = f"all paths of length {adm.bound} vanish" if adm.ok else adm.reason
     checks = [{"name": "admissible", "ok": adm.ok, "detail": detail}]
-    for name, spec, chain, matrix, same in comparisons if adm.ok else ():
+    euler: dict[ModuleSpec, bool] = {}  # one check per distinct spec
+    for _, name, spec, chain, matrix, same in comparisons if adm.ok else ():
         detail = "chain and matrix engines agree" if same else f"chain={chain} matrix={matrix}"
         checks.append({"name": f"betti_match_{name}", "ok": same, "detail": detail})
         if chain.complete:
+            if spec not in euler:
+                euler[spec] = homology.check_euler_identity(algebra, spec, chain)
             checks.append(
                 {
                     "name": f"euler_{name}",
-                    "ok": homology.check_euler_identity(algebra, spec, chain),
+                    "ok": euler[spec],
                     "detail": "alternating sum matches composition vector",
                 }
             )
@@ -264,12 +279,11 @@ def cmd_oracle_check(args, quiver, relations):
     algebra = Algebra(quiver, relations)
     fields = [2, oracle.DEFAULT_PRIME] if args.field is None else [args.field]
     # Checks --max-deg and --field before the admissibility check.
-    comparisons = [_engine_comparisons(algebra, args.max_deg, p) for p in fields]
+    comparisons = _engine_comparisons(algebra, args.max_deg, fields)
     algebra.require_admissible()
     checks = [
         {"name": f"p{p}_{name}", "ok": same, "detail": ""}
-        for p, compared in zip(fields, comparisons)
-        for name, _, _, _, same in compared
+        for p, name, _, _, _, same in comparisons
     ]
     return _checks_report(checks, "engines agree", "engines DISAGREE")
 

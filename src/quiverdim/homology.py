@@ -182,13 +182,11 @@ def gldim(algebra: Algebra) -> ExtNat:
 
 def check_euler_identity(algebra: Algebra, spec: ModuleSpec, res: Resolution) -> bool:
     """Alternating Betti sum of projective composition vectors equals the
-    module's composition vector, vertex by vertex (exact integers)."""
+    module's composition vector, vertex by vertex (exact integers).  The
+    projectives' vectors come from a table built once per algebra."""
     if not res.complete:
         raise ValueError("Euler identity needs a complete resolution")
-    q = algebra.quiver
-    projective = {
-        v: algebra.composition_vector(ModuleSpec.projective(q, v)) for v in set().union(*res.betti)
-    }
+    projective = algebra.basis.projective_vectors
     total: Counter[int] = Counter()
     for d, layer in enumerate(res.betti):
         for v, mult in layer.items():

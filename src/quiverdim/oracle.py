@@ -11,7 +11,9 @@ Cost model.  Linear algebra runs only on a module's support: a vertex or
 arrow whose fiber is zero costs no elimination and no product.  A module
 M(i, S) and a projective cover both read their basis as ``_path_tree``, the
 paths from a vertex as a tree under removal of the last arrow: an arrow
-sends each path's parent to the path, one entry per path.  A syzygy is
+sends each path's parent to the path, one entry per path.  A projective's
+tree is built once per algebra and kept with the basis, in
+``BasisIndex.trees``; every cover of every syzygy reads it there.  A syzygy is
 the kernel of the projective cover, whose basis is (generator, path) pairs
 on which an arrow acts by appending itself: it sends each pair to one pair
 or to zero.  The cover's arrows are therefore kept as index maps, and
@@ -19,7 +21,9 @@ restricting them to the kernel is a row gather, not a matrix product.  The
 images of the cover basis under the cover map are built one path length at
 a time, one product per (length, last arrow) over all generators at once.
 Each kernel takes one elimination; its basis is the identity at the free
-columns, which is all that reading coordinates in it needs.
+columns, which is all that reading coordinates in it needs.  A cover fiber
+whose elimination would need more than ``MAX_ENTRIES`` matrix entries is
+refused before anything is allocated, with ``OracleCapExceeded``.
 
 Arithmetic.  Entries are integers in [0, p) held as int64.  A product
 with inner dimension k runs in float64, through BLAS, while every partial
@@ -49,6 +53,18 @@ DEFAULT_PRIME = 101
 # (p-1)**2 < 2**30, so a float64 product is exact for inner dimension below
 # 2**23 and an int64 product below 2**33
 MAX_PRIME = 32749
+
+
+# The most entries one elimination of ``_cover_kernels`` may use: at a
+# vertex whose module fiber has r and cover fiber n basis elements, the
+# images are an r x n matrix and the kernel basis up to n x n, so a cover
+# fiber with n * max(r, n) above this is refused before anything is
+# allocated (8 bytes an entry: 128 MiB).
+MAX_ENTRIES = 2**24
+
+
+class OracleCapExceeded(ValueError):
+    """A cover fiber too large for the oracle to eliminate."""
 
 
 def _require_prime(p: int) -> None:
@@ -268,10 +284,13 @@ def _cover_kernels(
     units: list[tuple[int, int, int]] = []  # (vertex, top coordinate, column)
     # (length, last arrow) -> rows of the parents and of the grown paths
     levels: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
+    basis = algebra.basis
     for v in sorted(lifts):
         if not lifts[v]:
             continue
-        count, steps = _path_tree(algebra.basis.by_source[v])
+        if v not in basis.trees:
+            basis.trees[v] = _path_tree(basis.by_source[v])
+        count, steps = basis.trees[v]
         for k in lifts[v]:
             start = {w: cover_dims[w] for w in count}
             for w, n in count.items():
@@ -282,6 +301,12 @@ def _cover_kernels(
                 src, dst = levels.setdefault((length, arrow_id), ([], []))
                 src.append(start[a.source] + parent)
                 dst.append(start[a.target] + j)
+    for w, n in cover_dims.items():
+        if n * max(rep.dims[w], n) > MAX_ENTRIES:
+            raise OracleCapExceeded(
+                f"the oracle's projective cover has {n} basis elements at vertex {w}; "
+                f"eliminating there needs more than {MAX_ENTRIES} matrix entries"
+            )
     images = {
         w: np.zeros((rep.dims[w], n), dtype=np.int64)
         for w, n in cover_dims.items()

@@ -53,9 +53,12 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, "duplicate 'quiver' directive")
             if len(fields) != 2 or not _DIGITS.match(fields[1]):
                 raise QvParseError(line_no, "expected: quiver <vertex count>")
-            n = int(fields[1])
-            if n > MAX_VERTICES:
+            # numbers are compared by their significant digits first, as
+            # int() refuses a string of more than 4,300 digits
+            digits = fields[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
                 raise QvParseError(line_no, f"more than {MAX_VERTICES} vertices")
+            n = int(digits)
         elif directive == "arrow":
             if n is None:
                 raise QvParseError(line_no, "'arrow' before 'quiver'")
@@ -70,6 +73,9 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
             if not all(_DIGITS.match(end.removeprefix("-")) for end in (source, target)):
                 raise QvParseError(line_no, "arrow endpoints must be integers")
+            source, target = source.lstrip("0") or "0", target.lstrip("0") or "0"
+            if max(len(source), len(target)) > len(str(n)):
+                raise QvParseError(line_no, f"endpoint outside 1..{n}")
             s, t = int(source), int(target)
             if not (1 <= s <= n and 1 <= t <= n):
                 raise QvParseError(line_no, f"endpoint outside 1..{n}")

@@ -4,11 +4,12 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import quiverdim as qd
-from quiverdim import cli, qvfile
+from quiverdim import cli, homology, oracle, qvfile
 
 from conftest import (
     complete_quiver,
@@ -86,6 +87,73 @@ def test_gldim_checks_each_fact_once(shape, tmp_path, monkeypatch, capsys):
     # the same relations from a library caller are checked
     qd.Algebra(q, relations)
     assert calls["has_path"] == len(relations) > 0
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle-check"])
+@pytest.mark.parametrize("shape", ["a5-chain", "A8-chain"])
+def test_each_distinct_module_is_resolved_once(command, shape, tmp_path, monkeypatch, capsys):
+    # On a line Delta_i = P_i and Gamma_i = S_i, and at the sink all three
+    # labels name S_n: 15 labels, 9 modules on A5.  Each module gets one
+    # chain resolution, one matrix resolution per prime and, in verify,
+    # one Euler check, and the output is the same.
+    q = linear_quiver(int(shape[1]))
+    if shape == "a5-chain":
+        path = str(TESTS / "golden" / "a5-chain.qv")
+    else:
+        path = str(tmp_path / "a8.qv")
+        pathlib.Path(path).write_text(qvfile.emit(q, qd.chain_ideal(q, 8)))
+    calls: Counter = Counter()  # (function, spec) -> calls
+    for module, name in (
+        (homology, "resolve"),
+        (oracle, "minimal_resolution"),
+        (homology, "check_euler_identity"),
+    ):
+
+        def counted(algebra, spec, *args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name, spec] += 1
+            return _original(algebra, spec, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main([command, path, "--json"]) == 0
+    out, err = capsys.readouterr()
+    if shape == "a5-chain":
+        want = json.loads((TESTS / "golden" / "a5-chain.json").read_text())[f"{command} --json"]
+        assert {"exit": 0, "stdout": out, "stderr": err} == want
+    kinds = (qd.ModuleSpec.simple, qd.ModuleSpec.delta, qd.ModuleSpec.gamma)
+    specs = {make(q, i) for make in kinds for i in q.vertices()}
+    assert len(specs) == 2 * q.n - 1
+    per_spec = {"resolve": 1, "minimal_resolution": 1, "check_euler_identity": 1}
+    if command == "oracle-check":  # over GF(2) and GF(101), and no Euler check
+        per_spec = {"resolve": 1, "minimal_resolution": 2}
+    assert calls == Counter({(name, spec): n for name, n in per_spec.items() for spec in specs})
+
+
+def test_an_oversized_oracle_cover_is_an_input_error(monkeypatch, capsys):
+    # The largest cover fiber verify meets on golden.qv still passes at a
+    # cap of exactly its size; one entry less is refused, with no traceback.
+    sizes = []
+    cover_kernels = oracle._cover_kernels
+
+    def recorded(algebra, rep, lifts):
+        cover, kernels = cover_kernels(algebra, rep, lifts)
+        sizes.extend(n * max(rep.dims[w], n) for w, n in cover.dims.items())
+        return cover, kernels
+
+    monkeypatch.setattr(oracle, "_cover_kernels", recorded)
+    want = json.loads((TESTS / "golden" / "golden.json").read_text())["verify --json"]
+    assert cli.main(["verify", GOLDEN_QV, "--json"]) == 0
+    capsys.readouterr()
+    largest = max(sizes)
+    monkeypatch.setattr(oracle, "MAX_ENTRIES", largest)
+    code = cli.main(["verify", GOLDEN_QV, "--json"])
+    out, err = capsys.readouterr()
+    assert {"exit": code, "stdout": out, "stderr": err} == want
+    monkeypatch.setattr(oracle, "MAX_ENTRIES", largest - 1)
+    assert cli.main(["verify", GOLDEN_QV, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the oracle's projective cover has ")
+    assert err.endswith(f"eliminating there needs more than {largest - 1} matrix entries\n")
 
 
 def test_not_admissible_is_an_input_error(tmp_path, capsys):
@@ -247,6 +315,21 @@ BAD_QV1 = [
     ("quiver 3\narrow a \u0661 \u0662\n", "line 2: arrow endpoints must be integers"),
     ("quiver 100001\n", "line 1: more than 100000 vertices"),
     ("quiver 99999999999999999999\n", "line 1: more than 100000 vertices"),
+    # past CPython's 4,300-digit limit for int(): refused by digit count
+    pytest.param(
+        "quiver " + "9" * 5000 + "\n", "line 1: more than 100000 vertices", id="5000-digit-count"
+    ),
+    pytest.param(
+        "quiver 2\narrow a 1 " + "7" * 5000 + "\n",
+        "line 2: endpoint outside 1..2",
+        id="5000-digit-endpoint",
+    ),
+    pytest.param(
+        "quiver 2\narrow a -" + "1" * 5000 + " 2\n",
+        "line 2: endpoint outside 1..2",
+        id="negative-5000-digit-endpoint",
+    ),
+    ("quiver 0003\narrow a 1 4\n", "line 2: endpoint outside 1..3"),  # 0003 is 3
     ("arrow a 1 2\n", "line 1: 'arrow' before 'quiver'"),
     ("quiver 2\nrelations\narrow a 1 2\n", "line 3: 'arrow' after 'relations'"),
     ("quiver 2\narrow a 1\n", "line 2: expected: arrow <id> <source> <target>"),
@@ -283,6 +366,12 @@ def test_malformed_qv1_is_an_input_error(text, message, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["gldim", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    padded = "0" * 5000
+    q, _ = qvfile.parse(f"quiver {padded}3\narrow a {padded}1 {padded}3\n")
+    assert q == qd.Quiver(3, (qd.Arrow("a", 1, 3),))
 
 
 BAD_SPECS = [

@@ -248,6 +248,19 @@ def test_euler_identity_everywhere():
                 assert qd.check_euler_identity(algebra, spec, res)
 
 
+def test_euler_identity_reads_projectives_from_the_basis(golden):
+    q = golden.quiver
+    vectors = golden.basis.projective_vectors
+    assert golden.basis.projective_vectors is vectors  # built once per algebra
+    for v in q.vertices():
+        assert vectors[v] == golden.composition_vector(ModuleSpec.projective(q, v))
+    spec = ModuleSpec.simple(q, 1)
+    res = qd.resolve(golden, spec)
+    assert qd.check_euler_identity(golden, spec, res)
+    one_more = qd.Resolution(res.betti + ({1: 1},), complete=True)
+    assert not qd.check_euler_identity(golden, spec, one_more)
+
+
 def test_resolution_pdim_accessor(golden):
     res = qd.resolve(golden, ModuleSpec.simple(golden.quiver, 1))
     assert res.pdim() == 2

@@ -24,6 +24,21 @@ def test_rep_dims_match_figures(complete4_algebra):
     assert rep.dims == {1: 1, 2: 1, 3: 2, 4: 4}
 
 
+def test_projective_path_trees_are_built_once_per_algebra(complete4_algebra, monkeypatch):
+    algebra, q = complete4_algebra, complete4_algebra.quiver
+    built = []
+    path_tree = oracle._path_tree
+    monkeypatch.setattr(oracle, "_path_tree", lambda paths: built.append(paths) or path_tree(paths))
+    specs = [make(q, i) for make in ALL_SPECS for i in q.vertices()]
+    for spec in specs:
+        oracle.minimal_resolution(algebra, spec, 8)
+    trees = algebra.basis.trees
+    # one tree per module for rep_of, one per vertex a cover starts at
+    assert len(built) == len(specs) + len(trees) and trees
+    for v, tree in trees.items():
+        assert tree == path_tree(algebra.basis.by_source[v])
+
+
 def test_rep_of_simple_is_indicator(golden):
     q = golden.quiver
     for i in q.vertices():
