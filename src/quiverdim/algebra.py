@@ -2,18 +2,17 @@
 
 The quotient has the relation-avoiding paths as a basis, so everything is
 word combinatorics: a path is zero exactly when some generator word occurs
-in it as a contiguous infix.  ``RelationSet`` owns the generator words and
-answers every such test by hashing the windows whose length is a relation
-length, instead of scanning the relations.  Admissibility (all long enough
-paths vanish) is decided on a forbidden-suffix automaton whose states are
-short nonzero windows; the algebra is finite-dimensional iff that automaton
-is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology`` runs
-on its chain graph: it returns a cycle of states, read back as a witness
-path, or the longest path of every state, which gives the nilpotency bound.
-The automaton step, memoised per state, is the one place that decides
-whether appending an arrow keeps a path nonzero; a state reads the arrows it
-kills off ``RelationSet.rests`` at once.  The basis grows paths through it,
-and the sqh test of ``qh`` walks it without the basis.
+in it as a contiguous infix.  ``RelationSet`` owns the generator words: it
+hashes them for infix tests and numbers them once as a trie with failure
+links (Aho-Corasick, 1975).  ``Algebra`` turns the trie into its one
+automaton, on int states, whose transition table is the one place that
+decides whether appending an arrow keeps a path nonzero.  The algebra is
+finite-dimensional iff the automaton is acyclic.  The search is
+``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
+returns a cycle of states, read back as a witness path, or the longest
+path of every state, which gives the nilpotency bound.  The basis grows
+paths through the table, and the sqh test of ``qh`` walks it without the
+basis.
 """
 
 from __future__ import annotations
@@ -48,14 +47,16 @@ class RelationSet:
     """A reduced set of zero-relation paths (no word an infix of another).
 
     The constructor rejects short or unreduced generators; ``reduce_relations``
-    drops the unreduced ones instead.  The generator words are hashed for
-    every zero test: ``_words`` is the set of words and ``lengths`` their
-    distinct lengths in ascending order, so an infix or suffix test looks up
-    one window per relation length and start instead of scanning the
-    relations.  ``rests`` maps each nonempty proper prefix u of a relation
-    r = u ++ v to the remainders v.  ``_quiver`` is None, or the quiver
-    every generator was built from, set by ``_of``: a set is trusted only
-    when ``qvfile.parse`` or the planner built it for that very quiver.
+    drops the unreduced ones instead.  ``_words`` is the set of generator
+    words and ``lengths`` their distinct lengths in ascending order, so an
+    infix test looks up one window per relation length and start.  The trie
+    numbers node 0 for the empty word and a node for every other prefix of
+    a relation, in order of ``depth`` (length); ``children`` maps an arrow
+    id to the node one arrow longer, ``fail`` gives each node's longest
+    proper suffix among the nodes, and ``word_at`` the word of each leaf,
+    a relation.  ``_quiver`` is None, or the quiver every generator was
+    built from, set by ``_of``: a set is trusted only when ``qvfile.parse``
+    or the planner built it for that very quiver.
     """
 
     generators: tuple[Path, ...]
@@ -75,8 +76,8 @@ class RelationSet:
         repeated or malformed path.
         """
         given = tuple(paths)
-        words, lengths, rests = set(), [], {}
-        vars(self).update(_words=words, lengths=lengths, rests=rests, _quiver=None)
+        words, lengths = set(), []
+        vars(self).update(_words=words, lengths=lengths, _quiver=None)
         kept = []
         for p in sorted(given, key=Path.sort_key):
             word = p.word
@@ -90,13 +91,40 @@ class RelationSet:
                 words.add(word)
                 if not lengths or lengths[-1] < len(word):  # shortest first: stays ascending
                     lengths.append(len(word))
-                for cut in range(1, len(word)):
-                    rests.setdefault(word[:cut], []).append(word[cut:])
             elif not drop or u == word:
                 raise ValueError(
                     f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
                 )
+        self._number([p.word for p in kept])
         object.__setattr__(self, "generators", tuple(kept) if drop else given)
+
+    def _number(self, words: list[tuple[str, ...]]) -> None:
+        """Build the trie one depth at a time, so that a node's failure link,
+        a shorter node, exists when the node is made."""
+        children: list[dict[str, int]] = [{}]
+        depth, fail, word_at = [0], [0], {}
+        vars(self).update(children=children, depth=depth, fail=fail, word_at=word_at)
+        level = [(0, w) for w in words]
+        d = 0
+        while level:
+            grown = []
+            for node, word in level:
+                aid = word[d]
+                child = children[node].get(aid)
+                if child is None:
+                    child = children[node][aid] = len(children)
+                    back = fail[node]
+                    while back and aid not in children[back]:
+                        back = fail[back]
+                    fail.append(children[back].get(aid, 0) if node else 0)
+                    children.append({})
+                    depth.append(d + 1)
+                if d + 1 < len(word):
+                    grown.append((child, word))
+                else:
+                    word_at[child] = word
+            level = grown
+            d += 1
 
     def _of(self, quiver: Quiver) -> "RelationSet":
         vars(self)["_quiver"] = quiver
@@ -121,21 +149,6 @@ class RelationSet:
                 if word[s : s + k] in words:
                     return word[s : s + k]
         return None
-
-    def has_suffix(self, word: tuple[str, ...]) -> bool:
-        words, n = self._words, len(word)
-        for k in self.lengths:
-            if k > n:
-                return False
-            if word[n - k :] in words:
-                return True
-        return False
-
-    def remainders(self, word: tuple[str, ...]) -> list[tuple[str, ...]]:
-        """Every v with r = u ++ v a relation, u a nonempty suffix of ``word``
-        and v nonempty."""
-        rests = self.rests
-        return [v for cut in range(1, len(word) + 1) for v in rests.get(word[-cut:], ())]
 
 
 @dataclass(frozen=True)
@@ -228,23 +241,25 @@ class BasisIndex:
 class Algebra:
     """kQ modulo a reduced monomial ideal, with cached basis and automaton.
 
-    The chain graph of ``homology`` belongs to the algebra, not to one
-    module, so every simple, ``pdim``, ``resolve`` and cycle search shares
-    it.  ``successors`` memoises ``homology.chain_successors`` per generator
-    path; a path the walk has produced but not yet expanded maps to None.
-    ``depths`` holds the longest chain length from each path a
-    ``pdim`` walk has entered, ``math.inf`` for a path that reaches a cycle;
-    the length depends on the path and the relations alone, so a depth
-    recorded for one module holds for every other.  ``resolve`` searches
-    for its cycle with a fresh memo and leaves ``depths`` alone.
-    ``transitions`` memoises the window automaton's step per state, and
-    ``window_depths`` the longest path from each state, which the
-    admissibility walk leaves for ``qh``.  Apart from these caches the
-    algebra is immutable after construction, and it stays safe to share
-    between threads: every cache entry is deterministic, so a race only
-    computes the same value twice.  The constructor checks that every
-    relation is a path of ``quiver``, unless ``qvfile.parse`` or the
-    planner built the set from this very quiver object.
+    An automaton state is an int: the root -v of vertex v, or a trie node
+    k > 0 that is not a relation.  It stands for the nonzero paths ending
+    there whose longest suffix that is a proper prefix of a relation is
+    node k's word (none, for a root).  ``transitions`` maps a state to its
+    (arrow, next state) moves in out-arrow order, ``kills`` to its (arrow,
+    relation leaf) pairs, and ``vertex_of`` a state or leaf to its vertex.
+    ``state_depths`` holds the longest path from each state, which the
+    admissibility walk leaves for ``qh``.
+
+    The chain graph of ``homology`` belongs to the algebra, so every
+    simple, ``pdim``, ``resolve`` and cycle search shares it.  A chain
+    node's successors depend only on the state its word reaches:
+    ``successors`` memoises them per state, and ``depths`` holds the longest
+    chain from each state a ``pdim`` walk has entered, ``math.inf`` for one
+    that reaches a cycle.  Apart from these caches the algebra is immutable
+    after construction, and safe to share between threads: every cache entry
+    is deterministic, so a race only computes the same value twice.  The
+    constructor checks that every relation is a path of ``quiver``, unless
+    ``qvfile.parse`` or the planner built the set from this very quiver.
     """
 
     def __init__(
@@ -263,10 +278,36 @@ class Algebra:
         self.relations = relations
         self.basis_cap = basis_cap
         self.lmax = max(relations.lengths, default=0)
-        self.successors: dict[Path, Optional[tuple[Path, ...]]] = {}
-        self.depths: dict[Path, int | float] = {}
-        self.transitions: dict[tuple, tuple] = {}
-        self.window_depths: dict[tuple, int | float] = {}
+        self.successors: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self.depths: dict[int, int | float] = {}
+        self.state_depths: dict[int, int | float] = {}
+        self._number_states()
+
+    def _number_states(self) -> None:
+        """Fill ``transitions``, ``kills`` and ``vertex_of`` in trie order: a
+        node moves to its children, and elsewhere as its failure link (or its
+        vertex's root) does, a shorter state already done."""
+        children, fail = self.relations.children, self.relations.fail
+        out, arrows = self.quiver._out, self.quiver.arrow_by_id
+        step: dict[int, dict[str, int]] = {}  # state -> {arrow id: next node or leaf}
+        moves, kills, vertex = self.transitions, self.kills, self.vertex_of = {}, {}, {}
+        for own in children:
+            for aid, child in own.items():
+                vertex[child] = arrows[aid].target
+        first = children[0]
+        for v in self.quiver.vertices():
+            vertex[-v] = v
+            step[-v] = {a.id: first.get(a.id) or -a.target for a in out[v]}
+        for node in range(1, len(children)):
+            own = children[node]
+            if own:  # a leaf is a relation, not a state
+                back = step[fail[node] or -vertex[node]]
+                step[node] = {aid: own.get(aid) or t for aid, t in back.items()}
+        for state, row in step.items():
+            live, dead = [], []
+            for aid, t in row.items():
+                (live if t < 0 or children[t] else dead).append((arrows[aid], t))
+            moves[state], kills[state] = tuple(live), tuple(dead)
 
     # -- zero tests ---------------------------------------------------------
 
@@ -281,7 +322,23 @@ class Algebra:
     # Not called by the package; bench/tracing.py counts algebra.zero_tests through this name.
     def _kills_suffix(self, word: tuple[str, ...]) -> bool:
         """True if some generator is a suffix of ``word`` (new zero occurrence)."""
-        return self.relations.has_suffix(word)
+        n, words = len(word), self.relations._words
+        return any(word[n - k :] in words for k in self.relations.lengths if k <= n)
+
+    def state_of(self, p: Path) -> int:
+        """The state ``p`` reaches from the root of its source, read off the
+        trie.  Raises ValueError unless ``p`` is a nonzero path of the quiver."""
+        if not self.quiver.has_path(p):
+            raise ValueError(f"{p} is not a path of this algebra's quiver")
+        children, fail = self.relations.children, self.relations.fail
+        node = 0
+        for aid in p.word:
+            while node and aid not in children[node]:
+                node = fail[node]
+            node = children[node].get(aid, 0)
+            if node and not children[node]:
+                raise ValueError(f"{p} is zero in the algebra")
+        return node or -p.target
 
     # -- admissibility ------------------------------------------------------
 
@@ -289,49 +346,38 @@ class Algebra:
     def admissibility(self) -> Admissibility:
         return self._check_admissible()
 
-    def _window_transitions(self, state: tuple) -> tuple:
-        """Automaton step, memoised in ``transitions``: the (arrow, next
-        state) pairs of a state (v, w), which stands for the nonzero paths
-        ending at v with last lmax-1 arrows w (all, if fewer).  The killed
-        arrows are the length-1 remainders in ``rests`` of w's suffixes:
-        w's length-1 ``RelationSet.remainders``, looked up only at the
-        suffixes one shorter than a relation, which is measurably faster."""
-        moves = self.transitions.get(state)
-        if moves is None:
-            vertex, window = state
-            rests, n, killed = self.relations.rests, len(window), set()
-            for k in self.relations.lengths:
-                if k > n + 1:
-                    break
-                for v in rests.get(window[n + 1 - k :], ()):
-                    if len(v) == 1:
-                        killed.add(v[0])
-            cut = 1 - self.lmax  # grown[cut:] keeps lmax-1 arrows; () if lmax is 0
-            moves = []
-            for a in self.quiver._out[vertex]:
-                if a.id not in killed:
-                    moves.append((a, (a.target, (window + (a.id,))[cut:])))
-            self.transitions[state] = moves = tuple(moves)
-        return moves
-
-    def _next_states(self, state: tuple) -> tuple:
-        return tuple([s for _, s in self._window_transitions(state)])
-
     def _check_admissible(self) -> Admissibility:
-        starts = [(v, ()) for v in self.quiver.vertices()]
-        longest = self.window_depths  # filled once: ``admissibility`` is cached
-        cycle = find_cycle(starts, self._next_states, longest)
-        if cycle is None:
+        moves = self.transitions
+        starts = [-v for v in self.quiver.vertices()]
+        longest = self.state_depths  # filled once: ``admissibility`` is cached
+        walk = find_cycle(starts, lambda s: [t for _, t in moves[s]], longest)
+        if walk is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
-        # Each step of the witness is the first arrow from one state to the next.
-        word = tuple(
-            next(a.id for a, nxt in self._window_transitions(state) if nxt == after)
-            for state, after in zip(cycle, cycle[1:] + cycle[:1])
-        )
-        witness = self.quiver.path(cycle[0][0], word)
+        witness = self._witness(walk)
         return Admissibility(
             False, witness_cycle=witness, reason=f"nonzero cycle {witness} never vanishes"
         )
+
+    def _witness(self, walk: list[int]) -> Path:
+        """The cycle ``walk`` closes, each step the first arrow from one state
+        to the next, rotated to start where the same walk on windows (vertex
+        and last lmax-1 arrows), which fix the state, would close it: at the
+        first t whose window recurs at t + c along the walk's word followed
+        by the cycle's periodic extension."""
+        moves = self.transitions
+        word = [
+            next(a.id for a, t in moves[s] if t == after) for s, after in zip(walk, walk[1:])
+        ]
+        p = walk.index(walk[-1])
+        cycle, c, keep = word[p:], len(word) - p, max(self.lmax - 1, 0)
+        ahead = word + cycle * (keep // c + 1)
+        t = next(
+            t for t in range(max(p, keep), p + keep + 1)
+            if ahead[t - keep : t] == ahead[t + c - keep : t + c]
+        )
+        i = (t - p) % c
+        start = self.vertex_of[walk[p + i]]
+        return Path(start, start, tuple(cycle[i:] + cycle[:i]))
 
     def require_admissible(self) -> None:
         adm = self.admissibility
@@ -347,7 +393,8 @@ class Algebra:
 
     def _enumerate_basis(self) -> BasisIndex:
         """Grow (path, automaton state) pairs level by level."""
-        level = [(self.quiver.trivial_path(v), (v, ())) for v in self.quiver.vertices()]
+        moves = self.transitions
+        level = [(self.quiver.trivial_path(v), -v) for v in self.quiver.vertices()]
         paths: list[Path] = []
         while level:
             level.sort(key=lambda pair: pair[0].sort_key())
@@ -358,9 +405,9 @@ class Algebra:
                     "is the relation set admissible?"
                 )
             level = [
-                (Path(p.source, a.target, p.word + (a.id,)), after)
-                for p, state in level
-                for a, after in self._window_transitions(state)
+                (Path(p.source, a.target, p.word + (a.id,)), t)
+                for p, s in level
+                for a, t in moves[s]
             ]
         return BasisIndex(paths)
 

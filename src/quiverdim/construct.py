@@ -54,7 +54,8 @@ def _paths_through(q: Quiver, walk: Sequence[int]) -> list[Path]:
     arrows between consecutive vertices."""
     words = [()]
     for u, v in zip(walk, walk[1:]):
-        words = [w + (a.id,) for w in words for a in q.out_arrows(u) if a.target == v]
+        ids = [aid for aid, _, target in q.out_arrows(u) if target == v]
+        words = [w + (aid,) for w in words for aid in ids]
     if not words:
         raise ValueError(f"missing arrows along {' -> '.join(map(str, walk))}")
     return [Path(walk[0], walk[-1], w) for w in words]
@@ -72,9 +73,9 @@ def _ideal(
     gens = []
     for v in q.vertices():
         top = rank(v)
-        ins = [a for a in q.in_arrows(v) if rank(a.source) < top]
-        outs = [b for b in q.out_arrows(v) if rank(b.target) < top]
-        gens.extend(Path(a.source, b.target, (a.id, b.id)) for a in ins for b in outs)
+        ins = [(aid, s) for aid, s, _ in q.in_arrows(v) if rank(s) < top]
+        outs = [(bid, t) for bid, _, t in q.out_arrows(v) if rank(t) < top]
+        gens.extend(Path(s, t, (aid, bid)) for aid, s in ins for bid, t in outs)
     chain = walk[:-2] if cubic else walk
     for k in range(len(chain) - 2):
         gens.extend(_paths_through(q, chain[k : k + 3]))

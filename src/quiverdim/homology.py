@@ -9,23 +9,17 @@ the successors of the previous one.  A cycle reachable in that graph means
 infinite projective dimension; otherwise the walk terminates and yields
 exact Betti data.
 
-One iterative depth-first walk, ``quiver.find_cycle`` (called through
-``_walk``), serves ``pdim``, ``resolve`` and ``gldim``; the admissibility
-check of ``algebra`` and ``quiver.has_oriented_cycle`` use the same walk on
-their own graphs.  For ``pdim`` and ``gldim`` the longest chain length from
-every path it enters is memoised in ``Algebra.depths``, ``math.inf`` once
-the path is known to reach a cycle, and later walks skip it.  ``resolve``
-walks with a fresh memo, so the cycle it reports is the one a fresh algebra
-would, whatever ran before; its own level walk visits every node that
-search does.  Successors are memoised in ``Algebra.successors`` and found
-in one pass over the relation-prefix table, with no zero test.  A miss
-checks the path, so a path from a caller is checked once; the paths the
-walk builds itself are entered in the memo unexpanded and never checked: a
-level one holds arrows, and a successor is a proper suffix of a relation of
-a reduced set, so both are nonzero.  The simples of ``gldim`` take their
-level one straight from the quiver's out-arrows.  Only relations are
-consulted, never the path basis: the cost tracks the relation count and
-the chain-graph size, not the (possibly exponential) dimension.
+A chain node's successors, and so the longest chain from it, depend only
+on the automaton state of ``Algebra`` its word reaches, so the walk runs on
+int states.  One iterative depth-first walk, ``quiver.find_cycle``, serves
+``pdim``, ``resolve`` and ``gldim``, as it serves the admissibility check
+and ``quiver.has_oriented_cycle``.  ``pdim`` and ``gldim`` memoise the
+longest chain from every state entered in ``Algebra.depths``, ``math.inf``
+once it is known to reach a cycle, and later walks skip it.  ``resolve``
+walks (path, state) pairs with a fresh memo, so the cycle of paths it
+reports is the one a fresh algebra would, whatever ran before.  Only
+relations are consulted, never the path basis: the cost tracks the
+relation count and the chain-graph size, not the dimension.
 The linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
@@ -69,54 +63,56 @@ class Resolution:
 
 
 def chain_successors(algebra: Algebra, g: Path) -> tuple[Path, ...]:
-    """Minimal nonzero paths p with source target(g) making g.p zero.
-
-    Found from each relation r = u ++ v with u a nonempty suffix of word(g):
-    then g.v contains r.  ``RelationSet.remainders`` looks each suffix of
-    word(g) up among the proper prefixes of the relations; v is nonzero, as
-    a proper infix of a relation of a reduced set.  A candidate with another
-    one as a proper prefix is redundant and dropped; the survivors are
-    exactly the minimal generators of the kernel of P(target g) -> <g>.
-    The result is memoised on the algebra, and ``g`` is checked only on a
-    cache miss.  A path in the memo needs no check: it passed the checks,
-    or the walk entered it (mapped to None) as an arrow or as a successor.
-    """
-    memo = algebra.successors
-    cached = memo.get(g)
-    if cached is None:
-        if g not in memo:
-            if g.length < 1:
-                raise ValueError("successors need a path of length >= 1")
-            if algebra.is_zero_path(g):
-                raise ValueError(f"{g} is zero in the algebra")
-        found = set(algebra.relations.remainders(g.word))
-        minimal = [v for v in found if not any(v[:k] in found for k in range(1, len(v)))]
-        minimal.sort()
-        minimal.sort(key=len)  # all start at target(g): the order of Path.sort_key
-        arrows = algebra.quiver.arrow_by_id
-        cached = tuple(Path(g.target, arrows[v[-1]].target, v) for v in minimal)
-        for k in cached:
-            memo.setdefault(k, None)
-        memo[g] = cached
-    return cached
+    """Minimal nonzero paths p with source target(g) making g.p zero: the
+    successors of the state g reaches, which ``Algebra.state_of`` checks."""
+    if g.length < 1:
+        raise ValueError("successors need a path of length >= 1")
+    return tuple(p for p, _ in _paths(algebra, algebra.state_of(g)))
 
 
-def _enter(algebra: Algebra, vertex: int, arrows) -> list[Path]:
-    """Arrows out of ``vertex`` as paths in id order, entered in the memo."""
-    level = [Path(vertex, a.target, (a.id,)) for a in sorted(arrows)]
-    for g in level:
-        algebra.successors.setdefault(g, None)
-    return level
+def _successors(algebra: Algebra, state: int) -> tuple[tuple[int, int, int], ...]:
+    """(state, length, relation leaf) of each successor p of a chain node g
+    in ``state``, memoised per state.  p completes a relation u ++ p with u
+    a nonempty suffix of g, and no proper prefix of p does.  So the walk
+    reads p along the automaton while the state's word is longer than the
+    part of p read (still reaches into g), and ends p at an arrow killed by
+    a relation longer than p.  p's own state is the first node on its
+    relation's failure chain that fits in p."""
+    found = algebra.successors.get(state)
+    if found is None:
+        depth, fail = algebra.relations.depth, algebra.relations.fail
+        moves, kills, vertex = algebra.transitions, algebra.kills, algebra.vertex_of
+        found = []
+        todo = [(state, 0)] if state > 0 else []
+        while todo:
+            node, k = todo.pop()
+            k += 1
+            for _, leaf in kills[node]:
+                if depth[leaf] > k:
+                    back = fail[leaf]
+                    while depth[back] > k:
+                        back = fail[back]
+                    found.append((back or -vertex[leaf], k, leaf))
+            todo.extend((t, k) for _, t in moves[node] if t > 0 and depth[t] > k)
+        algebra.successors[state] = found = tuple(found)
+    return found
 
 
-def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[Path]:
+def _paths(algebra: Algebra, state: int) -> list[tuple[Path, int]]:
+    """The successors of ``state`` as (path, state) pairs, in the order of
+    ``Path.sort_key``: p is the last arrows of its relation."""
+    word_at, vertex = algebra.relations.word_at, algebra.vertex_of
+    found = sorted((k, word_at[leaf][-k:], t, leaf) for t, k, leaf in _successors(algebra, state))
+    return [(Path(vertex[state], vertex[leaf], word), t) for _, word, t, leaf in found]
+
+
+def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[tuple[Path, int]]:
+    """The killed arrows of ``spec`` as (path, state) pairs, in id order."""
     algebra.check_module(spec)  # every killed arrow starts at spec.vertex
-    arrows = algebra.quiver.arrow_by_id
-    return _enter(algebra, spec.vertex, [arrows[aid] for aid in spec.killed])
-
-
-def _walk(algebra: Algebra, starts: list[Path], depths: dict) -> Optional[list[Path]]:
-    return find_cycle(starts, lambda g: chain_successors(algebra, g), depths)
+    first = dict(algebra.transitions[-spec.vertex])  # no relation is one arrow long
+    return [
+        (Path(a.source, a.target, (a.id,)), first[a]) for a in sorted(first) if a.id in spec.killed
+    ]
 
 
 def resolve(
@@ -133,45 +129,52 @@ def resolve(
     algebra.require_admissible()
     level = _level_one(algebra, spec)
     if max_deg is None:
-        cycle = _walk(algebra, level, {})  # a fresh memo: the cycle a fresh algebra reports
-        if cycle is not None:
-            raise InfiniteResolutionError(cycle)
+        # a fresh memo: the cycle a fresh algebra reports
+        walk = find_cycle(level, lambda node: _paths(algebra, node[1]), {})
+        if walk is not None:
+            raise InfiniteResolutionError([g for g, _ in walk[walk.index(walk[-1]) : -1]])
     betti: list[dict[int, int]] = [{spec.vertex: 1}]
-    paths = Counter(level)  # generator path -> multiplicity in this degree
+    nodes = Counter(level)  # (generator path, state) -> multiplicity in this degree
     degree = 0
-    while paths:
+    while nodes:
         degree += 1
         if max_deg is not None and degree > max_deg:
             return Resolution(tuple(betti), complete=False)
         counts: Counter[int] = Counter()
-        nxt: Counter[Path] = Counter()
-        for g, mult in paths.items():
+        nxt: Counter[tuple[Path, int]] = Counter()
+        for (g, state), mult in nodes.items():
             counts[g.target] += mult
-            for k in chain_successors(algebra, g):
-                nxt[k] += mult
+            for node in _paths(algebra, state):
+                nxt[node] += mult
         betti.append({v: counts[v] for v in sorted(counts)})
-        paths = nxt
+        nodes = nxt
     return Resolution(tuple(betti), complete=True)
 
 
 def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
     """Projective dimension of M(i, S); math.inf when unbounded."""
     algebra.require_admissible()
-    return _pdim(algebra, _level_one(algebra, spec))
+    return _pdim(algebra, [state for _, state in _level_one(algebra, spec)])
 
 
-def _pdim(algebra: Algebra, starts: list[Path]) -> ExtNat:
+def _pdim(algebra: Algebra, starts: list[int]) -> ExtNat:
     if not starts:
         return 0
-    if _walk(algebra, starts, algebra.depths) is not None:
+    depths = algebra.depths
+
+    def kids(state: int) -> list[int]:
+        return [t for t, _, _ in _successors(algebra, state)]
+
+    if find_cycle(starts, kids, depths) is not None:
         return INFINITE
-    return 1 + max(algebra.depths[g] for g in starts)
+    return 1 + max(depths[s] for s in starts)
 
 
 def pdims_of_simples(algebra: Algebra) -> dict[int, ExtNat]:
     """``pdim`` of each simple, whose level one is every out-arrow."""
     algebra.require_admissible()
-    return {v: _pdim(algebra, _enter(algebra, v, out)) for v, out in algebra.quiver._out.items()}
+    moves = algebra.transitions
+    return {v: _pdim(algebra, [t for _, t in moves[-v]]) for v in algebra.quiver.vertices()}
 
 
 def gldim(algebra: Algebra) -> ExtNat:

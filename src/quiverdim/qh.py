@@ -7,9 +7,11 @@ Delta(i) only has composition factors above i.  "Smaller" and "above" refer
 to an order on the vertices: the labels 1..n unless a ``Relabeling`` is
 given, in which case i precedes j when the relabeling sends i below j.  For
 monomial ideals both conditions are word-combinatorial, and neither a matrix
-nor the path basis is built: the second is reachability in the window
-automaton of ``Algebra``, and the Hom criterion dim Hom(P(j), Delta(i)) =
-[Delta(i) : S(j)] counts the same paths it reaches.
+nor the path basis is built: the first asks whether a relation starts with
+a down-arrow, a child of the relation trie's root, and the second is
+reachability in the automaton of ``Algebra``, whose states are numbered
+trie nodes.  The Hom criterion dim Hom(P(j), Delta(i)) = [Delta(i) : S(j)]
+counts the same paths it reaches.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class SqhReport:
 
 def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> SqhReport:
     """Per-vertex report; ``overall`` is the conjunction of the two defining
-    conditions, read off the relations and the window automaton, never the
+    conditions, read off the relation trie and the automaton, never the
     path basis.  Each nonzero path from i not starting with a down-arrow is
     a factor of Delta(i) at its end, so the factors are right iff no such
     path of length >= 1 reaches a vertex ranked <= i.
@@ -59,17 +61,17 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     rank = order.apply
     # low[s]: the lowest rank of a vertex reachable from automaton state s.
     # The admissibility walk measured every state; s -> t has longest[s] > longest[t].
-    longest = algebra.window_depths
-    low: dict = {}
+    longest, moves, vertex = algebra.state_depths, algebra.transitions, algebra.vertex_of
+    low: dict[int, int] = {}
     for s in sorted(longest, key=longest.get):
-        low[s] = min([rank(s[0])] + [low[t] for _, t in algebra._window_transitions(s)])
+        low[s] = min([rank(vertex[s])] + [low[t] for _, t in moves[s]])
+    starts = algebra.relations.children[0]  # the first arrows of the relations
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
         down = [a for a in q.out_arrows(i) if rank(a.target) < rank(i)]
         # the image of a down-arrow is projective iff no relation starts with it
-        r_ok = not any(algebra.relations.remainders((a.id,)) for a in down)
-        steps = algebra._window_transitions((i, ()))
-        delta_ok = all(low[s] > rank(i) for a, s in steps if a not in down)
+        r_ok = not any(a.id in starts for a in down)
+        delta_ok = all(low[s] > rank(i) for a, s in moves[-i] if a not in down)
         per_vertex[i] = SqhVertexReport(r_ok, delta_ok, delta_ok)
     overall = all(r.r_projective_ok and r.delta_factors_ok for r in per_vertex.values())
     return SqhReport(per_vertex, overall)

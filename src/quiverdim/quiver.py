@@ -172,15 +172,16 @@ class Quiver:
 
     def has_path(self, p: Path) -> bool:
         """True if ``p`` is a valid path of this quiver (ids and endpoints)."""
-        if not (1 <= p.source <= self.n):
+        at, target, word = p  # unpacked: a NamedTuple field read costs twice a local's
+        if not (1 <= at <= self.n):
             return False
-        at = p.source
-        for arrow_id in p.word:
-            a = self.arrow_by_id.get(arrow_id)
-            if a is None or a.source != at:
+        by_id = self.arrow_by_id
+        for arrow_id in word:
+            _, source, end = by_id.get(arrow_id, ("", 0, 0))  # no arrow starts at vertex 0
+            if source != at:
                 return False
-            at = a.target
-        return at == p.target
+            at = end
+        return at == target
 
 
 class StructurePredicates(NamedTuple):
@@ -201,14 +202,16 @@ def has_oriented_cycle(q: Quiver) -> bool:
 
 
 def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optional[list]:
-    """The first cycle a depth-first walk from ``starts`` meets, or None.
+    """The walk on which a depth-first search from ``starts`` first meets a
+    cycle, or None.
 
     The package's one search of a graph given by ``successors`` (node ->
-    tuple of nodes), run on the chain graph of ``homology``, the window
+    sequence of nodes), run on the chain graph of ``homology``, the trie
     automaton of ``Algebra`` and the quiver itself.  Iterative, in successor
-    order, it returns the cycle's nodes at the first edge back to an open
-    node (one still on the stack), after writing ``math.inf`` into
-    ``longest`` for every open node: each reaches the cycle.  A node it
+    order, it stops at the first edge back to an open node (one still on
+    the stack) and returns the open nodes, then that node again, after
+    writing ``math.inf`` into ``longest`` for every open node: each reaches
+    the cycle, which runs from that node's first occurrence.  A node it
     finishes gets the edge count of its longest path, which is ``math.inf``
     exactly when it reaches a node already marked so.  Nodes already in
     ``longest`` are skipped, so a later walk that meets a cycle only
@@ -220,23 +223,23 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
             continue
         kids = successors(s)
         stack = [(s, kids, iter(kids))]
-        open_at = {s: 0}
+        open_nodes = {s}
         while stack:
             node, kids, todo = stack[-1]
             for child in todo:
-                if child in open_at:
+                if child in open_nodes:
                     # child -> ... -> node, and the edge node -> child closes it
                     for frame in stack:
                         longest[frame[0]] = math.inf
-                    return [frame[0] for frame in stack[open_at[child] :]]
+                    return [frame[0] for frame in stack] + [child]
                 if child not in longest:
                     grand = successors(child)
-                    open_at[child] = len(stack)
+                    open_nodes.add(child)
                     stack.append((child, grand, iter(grand)))
                     break
             else:
                 longest[node] = 1 + max(map(longest.__getitem__, kids), default=-1)
-                del open_at[node]
+                open_nodes.remove(node)
                 stack.pop()
     return None
 

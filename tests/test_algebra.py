@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import quiverdim as qd
 from quiverdim import qvfile
 from quiverdim.algebra import ModuleSpec
-from quiverdim.quiver import has_oriented_cycle
+from quiverdim.quiver import find_cycle, has_oriented_cycle
 
 from conftest import (
     GOLDEN_RELATION_WORDS,
@@ -250,6 +250,15 @@ def naive_successors(algebra, word):
     )
 
 
+def trie_words(relations):
+    """The word of every trie node, by node number."""
+    words = [()] * len(relations.children)
+    for k, kids in enumerate(relations.children):
+        for aid, child in kids.items():
+            words[child] = words[k] + (aid,)
+    return words
+
+
 def loop_algebra(rels):
     return qd.Algebra(LOOPS, [LOOPS.path(1, w) for w in rels])
 
@@ -266,12 +275,18 @@ def test_index_zero_tests_match_naive_scan(rels, word):
     assert algebra._kills_suffix(word) == any(
         len(r) <= len(word) and word[len(word) - len(r) :] == r for r in kept
     )
-    assert sorted(algebra.relations.remainders(word)) == sorted(
-        r[cut:]
-        for r in kept
-        for cut in range(1, len(r))
-        if cut <= len(word) and word[len(word) - cut :] == r[:cut]
-    )
+    # The trie holds every nonempty prefix once, the relations as its
+    # leaves, and links each node to its longest proper suffix among them.
+    rs = algebra.relations
+    node_words = trie_words(rs)
+    prefixes = {r[:cut] for r in kept for cut in range(1, len(r) + 1)}
+    assert sorted(node_words[1:]) == sorted(prefixes)
+    assert {node_words[k] for k, kids in enumerate(rs.children) if k and not kids} == set(kept)
+    assert rs.word_at == {k: w for k, w in enumerate(node_words) if w in kept}
+    for k, w in enumerate(node_words):
+        assert rs.depth[k] == len(w)
+        suffixes = [w[cut:] for cut in range(1, len(w)) if w[cut:] in prefixes]
+        assert node_words[rs.fail[k]] == max(suffixes, key=len, default=())
     # The rejecting constructor and the dropping reduction share one loop.
     paths = [LOOPS.path(1, w) for w in rels]
     if len(qd.reduce_relations(paths)) == len(paths):
@@ -381,18 +396,52 @@ def random_monomial_input(rng):
     return q, relations
 
 
+def brute_force_admissibility(q, words):
+    """Admissibility by the window automaton of ``brute_force_transitions``,
+    walked from the (v, ()) starts in vertex order: the bound, or the cycle
+    the walk closes, each step the first arrow from one window to the next."""
+    table = brute_force_transitions(q, words)
+    starts = [(v, ()) for v in q.vertices()]
+    longest = {}
+    walk = find_cycle(starts, lambda s: [t for _, t in table[s]], longest)
+    if walk is None:
+        return qd.Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
+    cycle = walk[walk.index(walk[-1]) :]
+    word = tuple(
+        next(a.id for a, t in table[s] if t == after) for s, after in zip(cycle, cycle[1:])
+    )
+    witness = q.path(cycle[0][0], word)
+    return qd.Admissibility(
+        False, witness_cycle=witness, reason=f"nonzero cycle {witness} never vanishes"
+    )
+
+
 def test_killed_arrow_step_matches_suffix_test():
-    """Admissible or not, the automaton, its bound and its witness cycle are
-    those of the brute-force step."""
+    """Admissible or not, the bound and the witness cycle are those of the
+    brute-force window walk, and each trie state moves as the suffix test
+    on its own word says."""
     rng = random.Random(11)
-    for case in range(200):
+    for case in range(2000):
         q, relations = random_monomial_input(rng)
         algebra = qd.Algebra(q, relations)
-        adm = algebra.admissibility
-        brute = brute_force_transitions(q, algebra.relations.words())
-        assert algebra.transitions == {s: brute[s] for s in algebra.transitions}, case
-        if adm.ok:
-            assert set(algebra.transitions) == set(brute), case
-        reference = qd.Algebra(q, relations)
-        reference.transitions.update(brute)  # its walk reads every step from here
-        assert reference.admissibility == adm, case  # ok, bound, witness and reason
+        words = algebra.relations.words()
+        assert algebra.admissibility == brute_force_admissibility(q, words), case
+        node_words = trie_words(algebra.relations)
+        states = [s for s in algebra.transitions if s < 0 or algebra.relations.children[s]]
+        assert sorted(algebra.transitions) == sorted(states)
+        assert len(states) == q.n + len({w[:cut] for w in words for cut in range(1, len(w))})
+        for s in states:
+            vertex = algebra.vertex_of[s]
+            if s > 0:
+                assert q.path(q.arrow(node_words[s][0]).source, node_words[s]).target == vertex
+            live, dead = {}, {}
+            for a in q.out_arrows(vertex):
+                grown = (node_words[s] if s > 0 else ()) + (a.id,)
+                suffixes = [grown[cut:] for cut in range(len(grown))]
+                if any(w in words for w in suffixes):
+                    dead[a] = node_words.index(next(w for w in suffixes if w in words))
+                else:  # the longest suffix that is a proper prefix of a relation
+                    inner = [w for w in suffixes if w in node_words]
+                    live[a] = node_words.index(inner[0]) if inner else -a.target
+            assert algebra.transitions[s] == tuple(live.items()), (case, s)
+            assert algebra.kills[s] == tuple(dead.items()), (case, s)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import quiverdim as qd
 from quiverdim import cli, homology, oracle, qvfile
@@ -407,3 +412,88 @@ def test_construct_on_a_long_line(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["gldim"] == 999
     assert payload["certificate"]["kind"] == "line-chain"
+
+
+# -- every input gets an exit code --------------------------------------------
+
+NUMBERS = st.one_of(
+    st.integers(0, 5).map(str),
+    st.integers(10**5 + 1, 10**40).map(str),
+    st.sampled_from(["9" * 5000, "-1", "+1", "1_0", "x", "\u0663", "007"]),
+)
+IDS = st.sampled_from(["a", "b", "c", "d", "x_1", "bad-id", "\u00e9", "0"])
+
+
+@st.composite
+def qv1_texts(draw):
+    """A QV1 stream: a small quiver with relation walks up to 40 arrows
+    long, clean or with stray tokens, huge numbers and bad ids mixed in."""
+    n = draw(st.integers(1, 4))
+    size = st.integers(1, n).map(str)
+    dirty = draw(st.booleans())
+    number = st.one_of(size, NUMBERS) if dirty else size
+    ids = IDS if dirty else st.sampled_from("abcdefg")
+    lines = [f"quiver {draw(number)}"]
+    arrows = []
+    for aid in draw(st.lists(ids, max_size=6, unique=True)):
+        source, target = draw(number), draw(number)
+        lines.append(f"arrow {aid} {source} {target}")
+        arrows.append((aid, source, target))
+    lines.append("relations")
+    for _ in range(draw(st.integers(0, 5))):
+        word = []
+        if arrows:
+            aid, _, at = draw(st.sampled_from(arrows))
+            word.append(aid)
+            for _ in range(draw(st.integers(int(not dirty), 40))):
+                outs = [a for a in arrows if a[1] == at]
+                if not outs:
+                    break
+                aid, _, at = draw(st.sampled_from(outs))
+                word.append(aid)
+        if dirty or len(word) >= 2:
+            lines.append(" ".join(["rel"] + word + draw(st.lists(ids, max_size=int(dirty)))))
+    noise = st.one_of(NUMBERS, IDS, st.sampled_from(["quiver", "arrow", "rel", "relations", "#"]))
+    for _ in range(draw(st.integers(0, 2)) if dirty else 0):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, " ".join(draw(st.lists(noise, min_size=1, max_size=4))))
+    return "\n".join(lines) + "\n"
+
+
+MODULES = st.builds(
+    lambda kind, i: f"{kind}:{i}",
+    st.sampled_from(["S", "P", "Delta", "Gamma", "M", "Q"]),
+    st.one_of(st.integers(1, 4).map(str), NUMBERS),
+)
+ARGV = st.one_of(
+    st.just(["gldim"]),
+    st.just(["corollary"]),
+    st.just(["check-sqh"]),
+    st.builds(lambda m: ["resolve", "--module", m], MODULES),
+    st.builds(lambda m, d: ["resolve", "--module", m, "--max-deg", d], MODULES,
+              st.sampled_from(["0", "3", "12", "-1", "10001", "9" * 30])),
+    st.builds(lambda t: ["construct", "--target", t], st.sampled_from(["0", "1", "2", "3", "5", "-1"])),
+    st.builds(lambda c, f: [c, "--field", f], st.sampled_from(["verify", "oracle-check"]),
+              st.sampled_from(["2", "3", "101", "4", "0"])),
+    st.sampled_from([["verify"], ["oracle-check"], ["verify", "--max-deg", "2"]]),
+    st.builds(lambda m: ["render", "--module", m], MODULES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=qv1_texts(), argv=ARGV, as_json=st.booleans())
+def test_every_input_gets_an_exit_code(text, argv, as_json):
+    """Under small oracle and basis caps, ``main`` answers every QV1 stream
+    and command with exit code 0, 1 or 2 and lets no exception escape."""
+    if as_json and argv[0] != "render":
+        argv = argv + ["--json"]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "MAX_ENTRIES", 400)
+        mp.setattr(qd.Algebra.__init__, "__defaults__", ((), 60))  # the basis cap
+        path = os.path.join(tmp, "fuzz.qv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv[:1] + [path] + argv[1:])
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2)

@@ -57,9 +57,9 @@ def test_successors_reject_bad_input(golden):
         qd.Path(3, 2, ("a",)),
     ]
     for warm in (False, True):
-        if warm:  # the walk has entered a, unchecked, as a level-one arrow
+        if warm:  # the walk has expanded the state of a, a level-one arrow
             assert qd.gldim(golden) == 2
-            assert q.path(1, ("a",)) in golden.successors
+            assert golden.state_of(q.path(1, ("a",))) in golden.successors
         for g in bad:
             with pytest.raises(ValueError):
                 qd.chain_successors(golden, g)
@@ -316,6 +316,41 @@ def test_long_line_does_not_recurse():
     res = qd.resolve(algebra, ModuleSpec.simple(q, 1))
     assert res.complete
     assert res.betti == tuple({d + 1: 1} for d in range(2000))
+
+
+# -- long relations: closed forms ----------------------------------------------
+
+
+def cyclic_nakayama(n):
+    """The oriented n-cycle with one relation of length n from vertex 2 and
+    one of length n + 1 from each of vertices 3..n."""
+    q = qd.Quiver(n, tuple(qd.Arrow(f"c{i}", i, i % n + 1) for i in range(1, n + 1)))
+    around = [f"c{i}" for i in range(1, n + 1)] * 3
+
+    def walk(v, length):
+        return q.path(v, tuple(around[v - 1 : v - 1 + length]))
+
+    return qd.Algebra(q, [walk(2, n)] + [walk(v, n + 1) for v in range(3, n + 1)])
+
+
+def trie_state_bound(algebra):
+    return algebra.quiver.n + sum(g.length - 1 for g in algebra.relations)
+
+
+def test_cyclic_nakayama_reaches_gustafsons_bound():
+    # Gustafson (1985): a finite gldim on the oriented n-cycle is at most 2n - 2.
+    for n in range(3, 41):
+        algebra = cyclic_nakayama(n)
+        assert qd.gldim(algebra) == 2 * n - 2, n
+        assert len(algebra.transitions) <= trie_state_bound(algebra)
+
+
+def test_one_long_loop_relation():
+    for length in range(2, 201):
+        algebra = one_loop_algebra(length)
+        assert algebra.admissibility.bound == length
+        assert qd.gldim(algebra) == math.inf
+        assert len(algebra.transitions) <= trie_state_bound(algebra)
 
 
 # -- the shared chain-graph memo ----------------------------------------------
