@@ -2,17 +2,17 @@
 
 The quotient has the relation-avoiding paths as a basis, so everything is
 word combinatorics: a path is zero exactly when some generator word occurs
-in it as a contiguous infix.  ``RelationSet`` owns the generator words: it
-hashes them for infix tests and numbers them once as a trie with failure
-links (Aho-Corasick, 1975).  ``Algebra`` turns the trie into its one
-automaton, on int states, whose transition table is the one place that
-decides whether appending an arrow keeps a path nonzero.  The algebra is
-finite-dimensional iff the automaton is acyclic.  The search is
-``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
-returns a cycle of states, read back as a witness path, or the longest
-path of every state, which gives the nilpotency bound.  The basis grows
-paths through the table, and the sqh test of ``qh`` walks it without the
-basis.
+in it as a contiguous infix.  ``RelationSet`` numbers the generator words
+once as a trie with failure links (Aho-Corasick, 1975), the one relation
+index: building it drops redundant words, one walk on it tests for zero.
+``Algebra`` turns the trie into its one automaton, on int states, whose
+transition table is the one place that decides whether appending an arrow
+keeps a path nonzero.  The algebra is finite-dimensional iff the automaton
+is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology``
+runs on its chain graph: it returns a cycle of states, read back as a
+witness path, or the longest path of every state, which gives the
+nilpotency bound.  The basis grows paths through the table, and the sqh
+test of ``qh`` walks it without the basis.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .quiver import Path, Quiver, find_cycle
 
@@ -47,16 +47,14 @@ class RelationSet:
     """A reduced set of zero-relation paths (no word an infix of another).
 
     The constructor rejects short or unreduced generators; ``reduce_relations``
-    drops the unreduced ones instead.  ``_words`` is the set of generator
-    words and ``lengths`` their distinct lengths in ascending order, so an
-    infix test looks up one window per relation length and start.  The trie
-    numbers node 0 for the empty word and a node for every other prefix of
-    a relation, in order of ``depth`` (length); ``children`` maps an arrow
-    id to the node one arrow longer, ``fail`` gives each node's longest
-    proper suffix among the nodes, and ``word_at`` the word of each leaf,
-    a relation.  ``_quiver`` is None, or the quiver every generator was
-    built from, set by ``_of``: a set is trusted only when ``qvfile.parse``
-    or the planner built it for that very quiver.
+    drops the unreduced ones instead.  The trie numbers node 0 for the empty
+    word and a node for every other prefix of a relation, in order of
+    ``depth`` (length); ``children`` maps an arrow id to the node one arrow
+    longer, ``fail`` gives each node's longest proper suffix among the
+    nodes, and ``word_at`` the word of each leaf, a relation.  ``_quiver`` is
+    None, or the quiver every generator was built from, set by ``_of``: a
+    set is trusted only when ``qvfile.parse`` or the planner built it for
+    that very quiver.
     """
 
     generators: tuple[Path, ...]
@@ -65,50 +63,52 @@ class RelationSet:
         self._admit(self.generators, drop=False)
 
     def _admit(self, paths: Iterable[Path], drop: bool) -> None:
-        """Index ``paths`` shortest first and make them the generators.
+        """Number ``paths`` shortest first and make them the generators.
 
-        A path is redundant iff a kept, shorter word occurs in it (an infix
-        of an infix is one), so the lookups hold only kept words.  With
-        ``drop`` a redundant path is left out and the rest are kept in
+        With ``drop`` a redundant path is left out and the rest are kept in
         sorted order; otherwise it raises, and the generators keep their
-        given order.  Distinct paths of length >= 2 of one quiver have
-        distinct words (an arrow fixes its source); a repeated word means a
-        repeated or malformed path.
-        """
+        given order.  Distinct paths of one quiver have distinct words (an
+        arrow fixes its source): a repeated word raises either way."""
         given = tuple(paths)
-        words, lengths = set(), []
-        vars(self).update(_words=words, lengths=lengths, _quiver=None)
-        kept = []
-        for p in sorted(given, key=Path.sort_key):
-            word = p.word
-            if len(word) < 2:
-                raise NotAdmissibleError(
-                    f"zero relation {p} has length {p.length}; relations must have length >= 2"
-                )
-            u = self.first_infix(word)
-            if u is None:
-                kept.append(p)
-                words.add(word)
-                if not lengths or lengths[-1] < len(word):  # shortest first: stays ascending
-                    lengths.append(len(word))
-            elif not drop or u == word:
-                raise ValueError(
-                    f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
-                )
-        self._number([p.word for p in kept])
-        object.__setattr__(self, "generators", tuple(kept) if drop else given)
+        ordered = sorted(given, key=Path.sort_key)
+        if ordered and ordered[0].length < 2:  # the short paths sort first
+            p = ordered[0]
+            raise NotAdmissibleError(
+                f"zero relation {p} has length {p.length}; relations must have length >= 2"
+            )
+        vars(self)["_quiver"] = None
+        words = [p.word for p in ordered]
+        dropped = self._number(words)
+        bad = [i for i, repeated in dropped.items() if repeated or not drop]
+        if bad:  # name the shortest, then leftmost, infix of the first bad word
+            word, earlier = words[min(bad)], set(words[: min(bad)])
+            u = next(word[s : s + k] for k in sorted(set(map(len, earlier)))
+                     for s in range(len(word) - k + 1) if word[s : s + k] in earlier)
+            raise ValueError(
+                f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
+            )
+        if dropped:  # number the kept words again: no node of a dropped word stays
+            ordered = [p for i, p in enumerate(ordered) if i not in dropped]
+            self._number([p.word for p in ordered])
+        object.__setattr__(self, "generators", tuple(ordered) if drop else given)
 
-    def _number(self, words: list[tuple[str, ...]]) -> None:
+    def _number(self, words: list[tuple[str, ...]]) -> dict[int, bool]:
         """Build the trie one depth at a time, so that a node's failure link,
-        a shorter node, exists when the node is made."""
+        a shorter node, exists when the node is made.  ``out`` links a node to
+        the deepest node on its failure chain, itself included, where a word
+        ends; ``words`` come shortest first, so a word ends before a longer
+        one passes.  A word stops at the first node where another one ends
+        inside it, and maps its index to whether that one is the same word
+        (a repeat) in what is returned."""
         children: list[dict[str, int]] = [{}]
-        depth, fail, word_at = [0], [0], {}
+        depth, fail, out, word_at = [0], [0], [0], {}
         vars(self).update(children=children, depth=depth, fail=fail, word_at=word_at)
-        level = [(0, w) for w in words]
+        dropped: dict[int, bool] = {}
+        level = [(0, i, word) for i, word in enumerate(words)]
         d = 0
         while level:
             grown = []
-            for node, word in level:
+            for node, i, word in level:
                 aid = word[d]
                 child = children[node].get(aid)
                 if child is None:
@@ -116,15 +116,20 @@ class RelationSet:
                     back = fail[node]
                     while back and aid not in children[back]:
                         back = fail[back]
-                    fail.append(children[back].get(aid, 0) if node else 0)
+                    link = children[back].get(aid, 0) if node else 0
+                    fail.append(link)
+                    out.append(out[link])
                     children.append({})
                     depth.append(d + 1)
-                if d + 1 < len(word):
-                    grown.append((child, word))
+                if out[child]:  # a prefix, an infix, or the same word, ends here
+                    dropped[i] = out[child] == child and d + 1 == len(word)
+                elif d + 1 < len(word):
+                    grown.append((child, i, word))
                 else:
-                    word_at[child] = word
+                    word_at[child], out[child] = word, child
             level = grown
             d += 1
+        return dropped
 
     def _of(self, quiver: Quiver) -> "RelationSet":
         vars(self)["_quiver"] = quiver
@@ -139,16 +144,16 @@ class RelationSet:
     def words(self) -> tuple[tuple[str, ...], ...]:
         return tuple(g.word for g in self.generators)
 
-    def first_infix(self, word: tuple[str, ...]) -> Optional[tuple[str, ...]]:
-        """The shortest, then leftmost, relation word occurring in ``word``."""
-        words, n = self._words, len(word)
-        for k in self.lengths:
-            if k >= n:  # the one window of length n is the word itself
-                return word if k == n and word in words else None
-            for s in range(n - k + 1):
-                if word[s : s + k] in words:
-                    return word[s : s + k]
-        return None
+    def walk(self, word: tuple[str, ...]) -> Iterator[int]:
+        """The node after each arrow of ``word``, its longest suffix in the
+        trie: a relation ends there iff it is a leaf, in ``word_at``."""
+        children, fail = self.children, self.fail
+        node = 0
+        for aid in word:
+            while node and aid not in children[node]:
+                node = fail[node]
+            node = children[node].get(aid, 0)
+            yield node
 
 
 @dataclass(frozen=True)
@@ -183,10 +188,8 @@ class ModuleSpec:
 
     @staticmethod
     def of(q: Quiver, i: int, arrow_ids: Iterable[str]) -> "ModuleSpec":
-        q._check_vertex(i)
         ids = frozenset(arrow_ids)
-        out = {a.id for a in q.out_arrows(i)}
-        bad = ids - out
+        bad = ids - {a.id for a in q.out_arrows(i)}  # out_arrows checks the vertex
         if bad:
             raise ValueError(f"not out-arrows of {i}: {sorted(bad)}")
         return ModuleSpec(i, ids)
@@ -277,7 +280,7 @@ class Algebra:
                     raise ValueError(f"relation {g} is not a path of the quiver")
         self.relations = relations
         self.basis_cap = basis_cap
-        self.lmax = max(relations.lengths, default=0)
+        self.lmax = max(relations.depth)
         self.successors: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self.depths: dict[int, int | float] = {}
         self.state_depths: dict[int, int | float] = {}
@@ -312,7 +315,7 @@ class Algebra:
     # -- zero tests ---------------------------------------------------------
 
     def is_zero_word(self, word: tuple[str, ...]) -> bool:
-        return self.relations.first_infix(word) is not None
+        return any(node in self.relations.word_at for node in self.relations.walk(word))
 
     def is_zero_path(self, p: Path) -> bool:
         if not self.quiver.has_path(p):
@@ -322,21 +325,16 @@ class Algebra:
     # Not called by the package; bench/tracing.py counts algebra.zero_tests through this name.
     def _kills_suffix(self, word: tuple[str, ...]) -> bool:
         """True if some generator is a suffix of ``word`` (new zero occurrence)."""
-        n, words = len(word), self.relations._words
-        return any(word[n - k :] in words for k in self.relations.lengths if k <= n)
+        return [0, *self.relations.walk(word)][-1] in self.relations.word_at
 
     def state_of(self, p: Path) -> int:
         """The state ``p`` reaches from the root of its source, read off the
         trie.  Raises ValueError unless ``p`` is a nonzero path of the quiver."""
         if not self.quiver.has_path(p):
             raise ValueError(f"{p} is not a path of this algebra's quiver")
-        children, fail = self.relations.children, self.relations.fail
         node = 0
-        for aid in p.word:
-            while node and aid not in children[node]:
-                node = fail[node]
-            node = children[node].get(aid, 0)
-            if node and not children[node]:
+        for node in self.relations.walk(p.word):
+            if node in self.relations.word_at:
                 raise ValueError(f"{p} is zero in the algebra")
         return node or -p.target
 
@@ -422,10 +420,9 @@ class Algebra:
     # -- truncated projectives ---------------------------------------------
 
     def check_module(self, spec: ModuleSpec) -> None:
-        """Raise ValueError unless ``spec`` kills only out-arrows of its vertex."""
-        self.quiver._check_vertex(spec.vertex)
-        out = {a.id for a in self.quiver.out_arrows(spec.vertex)}
-        bad = spec.killed - out
+        """Raise ValueError unless ``spec`` kills only out-arrows of its vertex,
+        a vertex of the quiver, which ``out_arrows`` checks."""
+        bad = spec.killed - {a.id for a in self.quiver.out_arrows(spec.vertex)}
         if bad:
             raise ValueError(
                 f"killed set contains non-out-arrows of {spec.vertex}: {sorted(bad)}"

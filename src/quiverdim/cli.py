@@ -59,15 +59,21 @@ SHORTHANDS = {
 }
 
 
+def _vertex(text: str) -> int:  # int() under QV1's rule: ASCII digits, after an optional "-"
+    if not qvfile._DIGITS.match(text.removeprefix("-")):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_module_spec(q: Quiver, text: str) -> ModuleSpec:
     parts = text.split(":")
     kind = parts[0]
     try:
         if kind in SHORTHANDS and len(parts) == 2:
-            return SHORTHANDS[kind](q, int(parts[1]))
+            return SHORTHANDS[kind](q, _vertex(parts[1]))
         if kind == "M" and len(parts) == 3:
             ids = [s for s in parts[2].split(",") if s]
-            return ModuleSpec.of(q, int(parts[1]), ids)
+            return ModuleSpec.of(q, _vertex(parts[1]), ids)
     except ValueError as exc:
         raise ValueError(f"bad module spec {text!r}: {exc}") from None
     raise ValueError(
@@ -263,13 +269,8 @@ def cmd_verify(args, quiver, relations):
         if chain.complete:
             if spec not in euler:
                 euler[spec] = homology.check_euler_identity(algebra, spec, chain)
-            checks.append(
-                {
-                    "name": f"euler_{name}",
-                    "ok": euler[spec],
-                    "detail": "alternating sum matches composition vector",
-                }
-            )
+            detail = "alternating sum matches composition vector"
+            checks.append({"name": f"euler_{name}", "ok": euler[spec], "detail": detail})
     return _checks_report(checks, "all checks passed", "some checks FAILED")
 
 

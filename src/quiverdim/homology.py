@@ -16,10 +16,10 @@ int states.  One iterative depth-first walk, ``quiver.find_cycle``, serves
 and ``quiver.has_oriented_cycle``.  ``pdim`` and ``gldim`` memoise the
 longest chain from every state entered in ``Algebra.depths``, ``math.inf``
 once it is known to reach a cycle, and later walks skip it.  ``resolve``
-walks (path, state) pairs with a fresh memo, so the cycle of paths it
-reports is the one a fresh algebra would, whatever ran before.  Only
-relations are consulted, never the path basis: the cost tracks the
-relation count and the chain-graph size, not the dimension.
+counts generators per state, at the state's vertex, and looks for a cycle
+of (path, state) pairs with a fresh memo: the cycle a fresh algebra would
+report, whatever ran before.  Only relations are consulted, never the path
+basis: the cost tracks the relation count and the chain-graph size.
 The linear-algebra engine in ``oracle`` recomputes all of this independently.
 """
 
@@ -134,20 +134,20 @@ def resolve(
         if walk is not None:
             raise InfiniteResolutionError([g for g, _ in walk[walk.index(walk[-1]) : -1]])
     betti: list[dict[int, int]] = [{spec.vertex: 1}]
-    nodes = Counter(level)  # (generator path, state) -> multiplicity in this degree
+    states = Counter(state for _, state in level)  # state -> generators in this degree
     degree = 0
-    while nodes:
+    while states:
         degree += 1
         if max_deg is not None and degree > max_deg:
             return Resolution(tuple(betti), complete=False)
         counts: Counter[int] = Counter()
-        nxt: Counter[tuple[Path, int]] = Counter()
-        for (g, state), mult in nodes.items():
-            counts[g.target] += mult
-            for node in _paths(algebra, state):
-                nxt[node] += mult
+        nxt: Counter[int] = Counter()
+        for state, mult in states.items():
+            counts[algebra.vertex_of[state]] += mult
+            for t, _, _ in _successors(algebra, state):
+                nxt[t] += mult
         betti.append({v: counts[v] for v in sorted(counts)})
-        nodes = nxt
+        states = nxt
     return Resolution(tuple(betti), complete=True)
 
 

@@ -8,10 +8,10 @@ Line-oriented::
     relations
     rel a b
 
-``#`` starts a comment, blank lines are ignored.  ``rel`` lines list arrow
-ids in traversal order (first-traversed arrow first); the emitter also
-writes the reversed, composition-order string in a trailing comment since
-algebra texts usually print words that way.
+A line ends at ``\n``, ``\r\n`` or ``\r``; ``#`` starts a comment and blank
+lines are ignored.  ``rel`` lines list arrow ids in traversal order (first
+arrow first); the emitter also writes the reversed, composition-order
+string in a trailing comment, the order algebra texts usually print.
 
 ``parse`` checks each arrow and relation once, on its line; neither the
 ``Quiver`` nor the ``Algebra`` built from its result checks them again.
@@ -42,7 +42,9 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
     by_id: dict[str, Arrow] = {}
     rel_lines: list[tuple[int, list[str]]] = []
     in_relations = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(), which also ends a line at \x0c, \x85, U+2028 and more
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -57,6 +57,21 @@ def test_relationset_rejects_unreduced():
         qd.RelationSet((q.path(1, ("a1", "a2")), q.path(1, ("a1", "a2", "a3"))))
 
 
+def test_reduction_names_the_shortest_then_leftmost_infix():
+    q = qd.Quiver(6, tuple(qd.Arrow(x, i, i + 1) for i, x in enumerate("abcde", start=1)))
+    long, middle, tail = q.path(1, tuple("abcde")), q.path(2, tuple("bcd")), q.path(4, ("d", "e"))
+    # b.c.d is met first along a.b.c.d.e, but d.e is shorter
+    with pytest.raises(ValueError) as info:
+        qd.RelationSet((long, middle, tail))
+    assert str(info.value) == "relation set not reduced: d.e is an infix of a.b.c.d.e"
+    assert qd.reduce_relations([long, middle, tail]).generators == (tail, middle)
+    # one word with other endpoints is a repeat, which no reduction can drop
+    for repeat in (qd.RelationSet, qd.reduce_relations):
+        with pytest.raises(ValueError) as info:
+            repeat([qd.Path(1, 1, ("a", "b")), qd.Path(2, 1, ("a", "b"))])
+        assert str(info.value) == "relation set not reduced: a.b is an infix of a.b"
+
+
 def test_is_zero_path(golden):
     q = golden.quiver
     assert golden.is_zero_path(q.path(1, ("a", "d")))

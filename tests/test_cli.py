@@ -312,6 +312,8 @@ def test_qv1_round_trip():
         assert relations2.generators == relations.generators
 
 
+NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 BAD_QV1 = [
     ("quiver 2\nquiver 2\n", "line 2: duplicate 'quiver' directive"),
     ("quiver 2 3\n", "line 1: expected: quiver <vertex count>"),
@@ -362,6 +364,15 @@ BAD_QV1 = [
         "expected source 2, got 1",
     ),
     ("quiver 2\narrow a 1 1\nrelations\nrel a a\nrel a\n", "line 5: relations must have length >= 2"),
+    ("quiver 2\r\narrow a 1 2\rloop a 1\r\n", "line 3: unknown directive 'loop'"),
+] + [
+    # str.splitlines() also ends a line at these; QV1 does not
+    pytest.param(
+        f"quiver 2\narrow a 1 2  # 1{char}to 2\nloop a 1\n",
+        "line 3: unknown directive 'loop'",
+        id=f"comment-with-U+{ord(char):04X}",
+    )
+    for char in NOT_NEWLINES
 ]
 
 
@@ -371,6 +382,15 @@ def test_malformed_qv1_is_an_input_error(text, message, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["gldim", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=lambda char: f"U+{ord(char):04X}")
+def test_a_comment_may_hold_what_splitlines_splits_at(char):
+    q, relations = qvfile.parse(
+        f"quiver 2\narrow a 1 2  # 1{char}to 2\narrow b 2 1\nrelations\nrel a b\n"
+    )
+    assert q == qd.Quiver(2, (qd.Arrow("a", 1, 2), qd.Arrow("b", 2, 1)))
+    assert relations.words() == (("a", "b"),)
 
 
 def test_leading_zeros_do_not_count_as_digits():
@@ -384,6 +404,12 @@ BAD_SPECS = [
     ("S:x", "bad module spec 'S:x': invalid literal for int() with base 10: 'x'"),
     ("Q:1", "bad module spec 'Q:1'; use S:i, P:i, Delta:i, Gamma:i or M:i:a,b"),
     ("M:1:zz", "bad module spec 'M:1:zz': not out-arrows of 1: ['zz']"),
+    # vertex numbers are ASCII digits, as in QV1, though int() takes these
+    ("S:\u0661", "bad module spec 'S:\u0661': invalid literal for int() with base 10: '\u0661'"),
+    ("S:+1", "bad module spec 'S:+1': invalid literal for int() with base 10: '+1'"),
+    ("S:0_1", "bad module spec 'S:0_1': invalid literal for int() with base 10: '0_1'"),
+    ("P: 1", "bad module spec 'P: 1': invalid literal for int() with base 10: ' 1'"),
+    ("M:+1:a", "bad module spec 'M:+1:a': invalid literal for int() with base 10: '+1'"),
 ]
 
 
