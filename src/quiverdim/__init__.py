@@ -5,7 +5,6 @@ from .algebra import (
     Algebra,
     Admissibility,
     BasisCapExceeded,
-    BasisIndex,
     ModuleSpec,
     NotAdmissibleError,
     RelationSet,

@@ -6,13 +6,14 @@ in it as a contiguous infix.  ``RelationSet`` numbers the generator words
 once as a trie with failure links (Aho-Corasick, 1975), the one relation
 index: building it drops redundant words, one walk on it tests for zero.
 ``Algebra`` turns the trie into its one automaton, on int states, whose
-transition table is the one place that decides whether appending an arrow
+transition table decides for the chain engine whether appending an arrow
 keeps a path nonzero.  The algebra is finite-dimensional iff the automaton
 is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology``
 runs on its chain graph: it returns a cycle of states, read back as a
 witness path, or the longest path of every state, which gives the
-nilpotency bound.  The basis grows paths through the table, and the sqh
-test of ``qh`` walks it without the basis.
+nilpotency bound.  The sqh test of ``qh`` walks the table too.  The basis
+does not: it grows from the generator words with its own suffix test, so
+the oracle and the Euler check that read it also check the automaton.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from typing import Iterable, Iterator, Optional
 
 from .quiver import Path, Quiver, find_cycle
 
-DEFAULT_BASIS_CAP = 1_000_000
+MAX_BASIS_PATHS = 1_000_000  # the most nonzero paths ``basis`` lists, read when it runs
 
 
 class NotAdmissibleError(ValueError):
     """The relation set does not give a finite-dimensional quotient."""
 
 
-class BasisCapExceeded(RuntimeError):
-    """Path enumeration hit the safety cap."""
+class BasisCapExceeded(ValueError):
+    """The basis has more than ``MAX_BASIS_PATHS`` paths."""
 
 
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
@@ -263,14 +264,10 @@ class Algebra:
     is deterministic, so a race only computes the same value twice.  The
     constructor checks that every relation is a path of ``quiver``, unless
     ``qvfile.parse`` or the planner built the set from this very quiver.
+    Only ``verify``, ``oracle-check`` and ``render`` build ``basis``.
     """
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        relations: RelationSet | Iterable[Path] = (),
-        basis_cap: int = DEFAULT_BASIS_CAP,
-    ):
+    def __init__(self, quiver: Quiver, relations: RelationSet | Iterable[Path] = ()):
         self.quiver = quiver
         if not isinstance(relations, RelationSet):
             relations = reduce_relations(relations)
@@ -279,7 +276,6 @@ class Algebra:
                 if not quiver.has_path(g):
                     raise ValueError(f"relation {g} is not a path of the quiver")
         self.relations = relations
-        self.basis_cap = basis_cap
         self.lmax = max(relations.depth)
         self.successors: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self.depths: dict[int, int | float] = {}
@@ -390,32 +386,29 @@ class Algebra:
         return self._enumerate_basis()
 
     def _enumerate_basis(self) -> BasisIndex:
-        """Grow (path, automaton state) pairs level by level."""
-        moves = self.transitions
-        level = [(self.quiver.trivial_path(v), -v) for v in self.quiver.vertices()]
+        """Grow the nonzero paths level by level from the generator words,
+        not the trie: a path stays nonzero with an arrow appended unless the
+        longer word ends with a generator."""
+        gens = set(self.relations.words())
+        lengths = {len(w) for w in gens}
+        out, cap = self.quiver._out, MAX_BASIS_PATHS
+        level = [self.quiver.trivial_path(v) for v in self.quiver.vertices()]
         paths: list[Path] = []
         while level:
-            level.sort(key=lambda pair: pair[0].sort_key())
-            paths.extend(p for p, _ in level)
-            if len(paths) > self.basis_cap:
+            level.sort(key=Path.sort_key)
+            paths.extend(level)
+            if len(paths) > cap:
                 raise BasisCapExceeded(
-                    f"more than {self.basis_cap} nonzero paths; "
-                    "is the relation set admissible?"
+                    f"more than {cap} nonzero paths; is the relation set admissible?"
                 )
-            level = [
-                (Path(p.source, a.target, p.word + (a.id,)), t)
-                for p, s in level
-                for a, t in moves[s]
-            ]
+            grown = []
+            for source, target, word in level:
+                for a in out[target]:
+                    w = word + (a.id,)
+                    if not any(w[-k:] in gens for k in lengths):
+                        grown.append(Path(source, a.target, w))
+            level = grown
         return BasisIndex(paths)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def dim_projective(self, i: int) -> int:
-        self.quiver._check_vertex(i)
-        return len(self.basis.by_source[i])
 
     # -- truncated projectives ---------------------------------------------
 

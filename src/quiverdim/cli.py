@@ -5,10 +5,11 @@ with ``--json``.  Exit codes: 0 success / affirmative, 1 negative decision
 (not achievable, not quasi-hereditary, a failed check), 2 input error.
 
 ``main`` alone loads the file, turns input errors into exit code 2, adds
-``command`` and ``input_hash`` to the JSON report and prints.  Each
-``cmd_*`` takes ``(args, quiver, relations)`` and returns ``(exit code,
-payload, text)``: ``payload`` is the rest of the JSON report, or None when
-the command has only text (``render``, an infinite ``resolve``), and
+``command`` and ``input_hash`` to the JSON report and prints.  Every input
+error, the basis and oracle caps included, is a ValueError or an OSError.
+Each ``cmd_*`` takes ``(args, quiver, relations)`` and returns ``(exit
+code, payload, text)``: ``payload`` is the rest of the JSON report, or None
+when the command has only text (``render``, an infinite ``resolve``), and
 ``text`` is a zero-argument callable that prints the text output; ``main``
 calls it only without ``--json``, so a JSON run never formats text.
 
@@ -33,7 +34,7 @@ import sys
 from typing import Optional
 
 from . import construct, homology, qh, qvfile, render
-from .algebra import Algebra, BasisCapExceeded, ModuleSpec, RelationSet
+from .algebra import Algebra, ModuleSpec, RelationSet
 from .homology import ExtNat, InfiniteResolutionError
 from .quiver import Quiver
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         else:
             text()
         return code
-    except (ValueError, OSError, BasisCapExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

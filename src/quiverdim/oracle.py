@@ -3,7 +3,8 @@
 Modules become explicit quiver representations on the path basis; projective
 covers, syzygies and minimal resolutions are computed by exact modular
 Gaussian elimination with deterministic pivoting.  This engine shares no
-resolution logic with ``homology`` and serves as its cross-check.  All
+resolution logic with ``homology`` and serves as its cross-check; nor does
+``Algebra.basis``, which it reads, share the chain engine's automaton.  All
 ideals here are monomial, so every computed dimension is independent of the
 chosen prime; that independence is itself asserted in the test suite.
 

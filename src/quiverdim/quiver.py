@@ -262,26 +262,24 @@ class Embedding:
         return len(self.vertices)
 
 
-DEFAULT_SEARCH_BUDGET = 1_000_000
+SEARCH_BUDGET = 1_000_000  # search nodes per find_a_embeddings call, read at its start
 
 
-def find_a_embeddings(
-    q: Quiver, m: int, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Iterator[Embedding]:
+def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
     """Yield every simple directed path on m distinct vertices (none, at
     once, when m exceeds the vertex count).
 
     One embedding per choice of vertices AND arrows, in lexicographic order
     on the vertex sequence with arrow ids breaking ties.  Iterative
     backtracking with a visited set; raises SearchBudgetExceeded after
-    ``budget`` search nodes (the problem is longest-path-hard in general,
-    instances here are small).
+    ``SEARCH_BUDGET`` search nodes (the problem is longest-path-hard in
+    general, instances here are small).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > q.n:
         return
-    steps = 0
+    steps, budget = 0, SEARCH_BUDGET
     for start in q.vertices():
         # vertices[k] is entered by arrows[k] (None at the start); todo[k]
         # holds the out-arrows of vertices[k] not tried yet.

@@ -9,9 +9,10 @@ Line-oriented::
     rel a b
 
 A line ends at ``\n``, ``\r\n`` or ``\r``; ``#`` starts a comment and blank
-lines are ignored.  ``rel`` lines list arrow ids in traversal order (first
-arrow first); the emitter also writes the reversed, composition-order
-string in a trailing comment, the order algebra texts usually print.
+lines are ignored.  Fields are separated by ASCII spaces and tabs only.
+``rel`` lines list arrow ids in traversal order (first arrow first); the
+emitter also writes the reversed, composition-order string in a trailing
+comment, the order algebra texts usually print.
 
 ``parse`` checks each arrow and relation once, on its line; neither the
 ``Quiver`` nor the ``Algebra`` built from its result checks them again.
@@ -45,10 +46,10 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
     # not splitlines(), which also ends a line at \x0c, \x85, U+2028 and more
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # not split(), which also separates at \x0b, \xa0, U+3000 and more
+        fields = [f for f in raw.split("#", 1)[0].replace("\t", " ").split(" ") if f]
+        if not fields:
             continue
-        fields = line.split()
         directive = fields[0]
         if directive == "quiver":
             if n is not None:

@@ -156,7 +156,7 @@ def test_empty_relations_acyclic_admissible():
 def test_basis_golden_dimension_21(golden):
     oracle = brute_force_nonzero_paths(golden.quiver, GOLDEN_RELATION_WORDS)
     assert len(oracle) == 21
-    assert golden.dim == 21
+    assert len(golden.basis) == 21
     by_len = Counter(len(w) for (_, _, w) in oracle)
     assert by_len == Counter({0: 3, 1: 6, 2: 7, 3: 4, 4: 1})
     assert Counter(p.length for p in golden.basis.paths) == by_len
@@ -164,12 +164,13 @@ def test_basis_golden_dimension_21(golden):
 
 def test_basis_single_vertex():
     algebra = qd.Algebra(qd.Quiver(1, ()), ())
-    assert algebra.dim == 1
+    assert len(algebra.basis) == 1
 
 
-def test_basis_cap():
+def test_basis_cap(monkeypatch):
+    monkeypatch.setattr(qd.algebra, "MAX_BASIS_PATHS", 3)
     q = linear_quiver(5)
-    algebra = qd.Algebra(q, (), basis_cap=3)
+    algebra = qd.Algebra(q, ())
     with pytest.raises(qd.BasisCapExceeded):
         algebra.basis
 
@@ -193,19 +194,47 @@ def test_basis_deterministic(golden):
     assert [p.word for p in golden.basis.paths] == [p.word for p in again.basis.paths]
 
 
+def test_basis_matches_brute_force_on_random_algebras():
+    # Loops and parallel arrows allowed; relations are random walks of
+    # length 2-3.  The basis must list exactly the brute-force paths, sorted.
+    rng = random.Random(1060)
+    admissible = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        q = qd.Quiver(n, tuple(qd.Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(pairs)))
+        words = []
+        for _ in range(rng.randint(0, 8)):
+            arrow = rng.choice(q.arrows)
+            word = [arrow.id]
+            for _ in range(rng.randint(1, 2)):
+                if not q.out_arrows(arrow.target):
+                    break
+                arrow = rng.choice(q.out_arrows(arrow.target))
+                word.append(arrow.id)
+            if len(word) >= 2:
+                words.append(tuple(word))
+        algebra = qd.Algebra(q, [q.path(q.arrow(w[0]).source, w) for w in words])
+        if not algebra.admissibility.ok:
+            continue
+        admissible += 1
+        brute = brute_force_nonzero_paths(q, words)
+        assert list(algebra.basis.paths) == sorted(brute, key=lambda p: (len(p[2]), p[2], p[0]))
+    assert admissible > 1000
+
+
 def test_dim_projective_and_composition_vectors(complete4_algebra):
     algebra = complete4_algebra
     q = algebra.quiver
-    assert algebra.dim_projective(1) == 8
+    assert len(algebra.basis.by_source[1]) == 8
     assert algebra.composition_vector(ModuleSpec.projective(q, 1)) == {1: 1, 2: 1, 3: 2, 4: 4}
     for i in q.vertices():
         assert algebra.composition_vector(ModuleSpec.simple(q, i)) == {i: 1}
-    with pytest.raises(ValueError):
-        algebra.dim_projective(9)
 
 
 def test_total_dim_is_sum_of_projectives(golden):
-    assert golden.dim == sum(golden.dim_projective(i) for i in (1, 2, 3)) == 21
+    basis = golden.basis
+    assert len(basis) == sum(len(basis.by_source[i]) for i in (1, 2, 3)) == 21
 
 
 def test_module_spec_validation():

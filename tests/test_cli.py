@@ -53,6 +53,35 @@ def test_basis_cap_is_an_input_error(argv, golden_file, monkeypatch, capsys):
     )
 
 
+def test_verify_catches_an_automaton_without_failure_links(tmp_path, monkeypatch, capsys):
+    # The automaton is built as if every failure link of the trie pointed at
+    # the root, while the chain walk reads the real links: the chain
+    # engine's Betti numbers go wrong, and the oracle, on a basis grown from
+    # the generator words, has to say so.
+    number_states = qd.Algebra._number_states
+
+    def without_failure_links(self):
+        fail = self.relations.fail
+        vars(self.relations)["fail"] = [0] * len(fail)
+        try:
+            number_states(self)
+        finally:
+            vars(self.relations)["fail"] = fail
+
+    path = tmp_path / "fault.qv"
+    path.write_text(
+        "quiver 2\narrow x0 1 2\narrow x1 2 1\narrow x2 2 1\n"
+        "relations\nrel x0 x1\nrel x0 x2 x0\nrel x2 x0 x2\n"
+    )
+    assert cli.main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(qd.Algebra, "_number_states", without_failure_links)
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "check betti_match_S_1: FAIL" in out
+    assert out.endswith("some checks FAILED\n")
+
+
 def test_check_sqh_never_builds_the_basis(monkeypatch, capsys):
     monkeypatch.setattr(qd.Algebra, "_enumerate_basis", _capped)
     want = json.loads((TESTS / "golden" / "golden.json").read_text())["check-sqh --json"]
@@ -313,6 +342,10 @@ def test_qv1_round_trip():
 
 
 NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# str.split() also separates at these; QV1 separates at spaces and tabs only
+NOT_SEPARATORS = NOT_NEWLINES + "\x1f\xa0\u1680\u202f\u205f\u3000" + "".join(
+    map(chr, range(0x2000, 0x200B))
+)
 
 BAD_QV1 = [
     ("quiver 2\nquiver 2\n", "line 2: duplicate 'quiver' directive"),
@@ -373,6 +406,20 @@ BAD_QV1 = [
         id=f"comment-with-U+{ord(char):04X}",
     )
     for char in NOT_NEWLINES
+] + [
+    pytest.param(
+        f"quiver 2\narrow a 1{char}2\n",
+        "line 2: expected: arrow <id> <source> <target>",
+        id=f"separator-U+{ord(char):04X}",
+    )
+    for char in NOT_SEPARATORS
+] + [
+    ("quiver 2\x0c\n", "line 1: expected: quiver <vertex count>"),
+    ("quiver 2\n\u3000\n", "line 2: unknown directive '\\u3000'"),
+    (
+        "quiver 2\narrow a 1 2\nrelations\nrel a\xa0a\n",
+        "line 4: unknown arrow id 'a\\xa0a' in relation",
+    ),
 ]
 
 
@@ -388,6 +435,14 @@ def test_malformed_qv1_is_an_input_error(text, message, tmp_path, capsys):
 def test_a_comment_may_hold_what_splitlines_splits_at(char):
     q, relations = qvfile.parse(
         f"quiver 2\narrow a 1 2  # 1{char}to 2\narrow b 2 1\nrelations\nrel a b\n"
+    )
+    assert q == qd.Quiver(2, (qd.Arrow("a", 1, 2), qd.Arrow("b", 2, 1)))
+    assert relations.words() == (("a", "b"),)
+
+
+def test_spaces_and_tabs_separate_fields():
+    q, relations = qvfile.parse(
+        " quiver\t2 \n\tarrow  a\t 1 2\t\narrow b 2 1\nrelations \nrel\ta \t b\n"
     )
     assert q == qd.Quiver(2, (qd.Arrow("a", 1, 2), qd.Arrow("b", 2, 1)))
     assert relations.words() == (("a", "b"),)
@@ -515,7 +570,7 @@ def test_every_input_gets_an_exit_code(text, argv, as_json):
         argv = argv + ["--json"]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "MAX_ENTRIES", 400)
-        mp.setattr(qd.Algebra.__init__, "__defaults__", ((), 60))  # the basis cap
+        mp.setattr(qd.algebra, "MAX_BASIS_PATHS", 60)
         path = os.path.join(tmp, "fuzz.qv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -300,7 +300,7 @@ def test_walk_may_revisit_a_vertex():
     assert [str(g) for g in ideal] == ["y.z", "z.x"]
     algebra = qd.Algebra(q, ideal)
     assert qd.gldim(algebra) == 3
-    assert len(brute_force_nonzero_paths(q, ideal.words())) == algebra.dim
+    assert len(brute_force_nonzero_paths(q, ideal.words())) == len(algebra.basis)
 
 
 def test_certificate_ideal_valid_on_original_quiver():

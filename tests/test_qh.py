@@ -145,11 +145,12 @@ def test_delta_factors_match_composition_vectors():
             assert report.vertices[i].delta_factors_ok == expect, (q, algebra.relations, i)
 
 
-def test_sqh_never_builds_the_basis():
+def test_sqh_never_builds_the_basis(monkeypatch):
     # K8 has 21,845 nonzero paths under the local-max ideal, and kQ of the
     # transitive tournament on 21 vertices about 2**21, both above the cap.
+    monkeypatch.setattr(qd.algebra, "MAX_BASIS_PATHS", 1000)
     q = complete_quiver(8)
-    algebra = qd.Algebra(q, qd.local_max_ideal(q), basis_cap=1000)
+    algebra = qd.Algebra(q, qd.local_max_ideal(q))
     report = qd.check_strongly_qh(algebra)
     assert report.overall
     with pytest.raises(qd.BasisCapExceeded):

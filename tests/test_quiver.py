@@ -113,10 +113,11 @@ def test_parallel_arrows_give_distinct_embeddings():
     assert sum(1 for _ in qd.find_a_embeddings(q, 2)) == 4
 
 
-def test_search_budget():
+def test_search_budget(monkeypatch):
+    monkeypatch.setattr(qd.quiver, "SEARCH_BUDGET", 3)
     q = complete_quiver(5)
     with pytest.raises(qd.SearchBudgetExceeded):
-        list(qd.find_a_embeddings(q, 5, budget=3))
+        list(qd.find_a_embeddings(q, 5))
 
 
 def test_is_extendable_linear_none():
