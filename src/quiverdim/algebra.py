@@ -37,74 +37,55 @@ class BasisCapExceeded(ValueError):
 
 
 def reduce_relations(paths: Iterable[Path]) -> "RelationSet":
-    """Drop every relation containing another one as an infix; reject short ones."""
-    reduced = object.__new__(RelationSet)
-    reduced._admit(set(paths), drop=True)
-    return reduced
+    """The reduced ``RelationSet`` of ``paths``; the package reduces through this name."""
+    return RelationSet(tuple(paths))
 
 
 @dataclass(frozen=True)
 class RelationSet:
     """A reduced set of zero-relation paths (no word an infix of another).
 
-    The constructor rejects short or unreduced generators; ``reduce_relations``
-    drops the unreduced ones instead.  The trie numbers node 0 for the empty
-    word and a node for every other prefix of a relation, in order of
-    ``depth`` (length); ``children`` maps an arrow id to the node one arrow
-    longer, ``fail`` gives each node's longest proper suffix among the
-    nodes, and ``word_at`` the word of each leaf, a relation.  ``_quiver`` is
-    None, or the quiver every generator was built from, set by ``_of``: a
-    set is trusted only when ``qvfile.parse`` or the planner built it for
-    that very quiver.
+    The constructor is the reduction: it rejects a short path, drops every
+    path with another one's word as an infix, and keeps the rest sorted by
+    ``Path.sort_key``.  The trie numbers node 0 for the empty word and a
+    node for every other prefix of a relation, in order of ``depth``
+    (length); ``children`` maps an arrow id to the node one arrow longer,
+    ``fail`` gives each node's longest proper suffix among the nodes, and
+    ``word_at`` the word of each leaf, a relation.  ``_quiver`` is None, or
+    the quiver every generator was built from, set by ``_of``: a set is
+    trusted only when ``qvfile.parse`` or the planner built it for that very
+    quiver.
     """
 
     generators: tuple[Path, ...]
 
     def __post_init__(self):
-        self._admit(self.generators, drop=False)
-
-    def _admit(self, paths: Iterable[Path], drop: bool) -> None:
-        """Number ``paths`` shortest first and make them the generators.
-
-        With ``drop`` a redundant path is left out and the rest are kept in
-        sorted order; otherwise it raises, and the generators keep their
-        given order.  Distinct paths of one quiver have distinct words (an
-        arrow fixes its source): a repeated word raises either way."""
-        given = tuple(paths)
-        ordered = sorted(given, key=Path.sort_key)
+        ordered = sorted(set(self.generators), key=Path.sort_key)
         if ordered and ordered[0].length < 2:  # the short paths sort first
             p = ordered[0]
             raise NotAdmissibleError(
                 f"zero relation {p} has length {p.length}; relations must have length >= 2"
             )
         vars(self)["_quiver"] = None
-        words = [p.word for p in ordered]
-        dropped = self._number(words)
-        bad = [i for i, repeated in dropped.items() if repeated or not drop]
-        if bad:  # name the shortest, then leftmost, infix of the first bad word
-            word, earlier = words[min(bad)], set(words[: min(bad)])
-            u = next(word[s : s + k] for k in sorted(set(map(len, earlier)))
-                     for s in range(len(word) - k + 1) if word[s : s + k] in earlier)
-            raise ValueError(
-                f"relation set not reduced: {'.'.join(u)} is an infix of {'.'.join(word)}"
-            )
+        dropped = self._number([p.word for p in ordered])
         if dropped:  # number the kept words again: no node of a dropped word stays
             ordered = [p for i, p in enumerate(ordered) if i not in dropped]
             self._number([p.word for p in ordered])
-        object.__setattr__(self, "generators", tuple(ordered) if drop else given)
+        object.__setattr__(self, "generators", tuple(ordered))
 
-    def _number(self, words: list[tuple[str, ...]]) -> dict[int, bool]:
+    def _number(self, words: list[tuple[str, ...]]) -> set[int]:
         """Build the trie one depth at a time, so that a node's failure link,
         a shorter node, exists when the node is made.  ``out`` links a node to
         the deepest node on its failure chain, itself included, where a word
         ends; ``words`` come shortest first, so a word ends before a longer
         one passes.  A word stops at the first node where another one ends
-        inside it, and maps its index to whether that one is the same word
-        (a repeat) in what is returned."""
+        inside it, and its index is in what is returned.  Distinct paths of
+        one quiver have distinct words (an arrow fixes its source), so a word
+        that ends where the same word ended raises."""
         children: list[dict[str, int]] = [{}]
         depth, fail, out, word_at = [0], [0], [0], {}
         vars(self).update(children=children, depth=depth, fail=fail, word_at=word_at)
-        dropped: dict[int, bool] = {}
+        dropped: set[int] = set()
         level = [(0, i, word) for i, word in enumerate(words)]
         d = 0
         while level:
@@ -123,7 +104,10 @@ class RelationSet:
                     children.append({})
                     depth.append(d + 1)
                 if out[child]:  # a prefix, an infix, or the same word, ends here
-                    dropped[i] = out[child] == child and d + 1 == len(word)
+                    if out[child] == child and d + 1 == len(word):
+                        w = ".".join(word)
+                        raise ValueError(f"relation set not reduced: {w} is an infix of {w}")
+                    dropped.add(i)
                 elif d + 1 < len(word):
                     grown.append((child, i, word))
                 else:

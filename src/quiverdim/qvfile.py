@@ -14,8 +14,9 @@ lines are ignored.  Fields are separated by ASCII spaces and tabs only.
 emitter also writes the reversed, composition-order string in a trailing
 comment, the order algebra texts usually print.
 
-``parse`` checks each arrow and relation once, on its line; neither the
-``Quiver`` nor the ``Algebra`` built from its result checks them again.
+``parse`` checks each arrow and relation once, on its line, so an error
+names the first bad line; neither the ``Quiver`` nor the ``Algebra`` built
+from its result checks them again.
 Numbers are ASCII digits, and a quiver has at most ``MAX_VERTICES``
 vertices.
 """
@@ -41,7 +42,7 @@ class QvParseError(ValueError):
 def parse(text: str) -> tuple[Quiver, RelationSet]:
     n = None
     by_id: dict[str, Arrow] = {}
-    rel_lines: list[tuple[int, list[str]]] = []
+    paths: list[Path] = []
     in_relations = False
     # not splitlines(), which also ends a line at \x0c, \x85, U+2028 and more
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -94,28 +95,27 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 raise QvParseError(line_no, "'rel' before 'relations'")
             if len(fields) < 2:
                 raise QvParseError(line_no, "empty relation")
-            rel_lines.append((line_no, fields[1:]))
+            word = tuple(fields[1:])
+            try:  # one lookup per arrow; an unknown id is reported before a break
+                walk = [by_id[aid] for aid in word]
+            except KeyError as exc:
+                message = f"unknown arrow id {exc.args[0]!r} in relation"
+                raise QvParseError(line_no, message) from None
+            _, start, at = walk[0]
+            for bid, source, target in walk[1:]:
+                if at != source:  # the message of Quiver.path's CompositionError
+                    raise QvParseError(line_no, f"relation does not compose: word {word} "
+                                       f"breaks at {bid!r}: expected source {at}, "
+                                       f"got {source}")
+                at = target
+            if len(word) < 2:
+                raise QvParseError(line_no, "relations must have length >= 2")
+            paths.append(Path(start, at, word))
         else:
             raise QvParseError(line_no, f"unknown directive {directive!r}")
     if n is None:
         raise QvParseError(1, "missing 'quiver' directive")
     quiver = Quiver._checked(n, by_id)
-    paths: list[Path] = []
-    for line_no, word in rel_lines:
-        try:  # one lookup per arrow; an unknown id is reported before a break
-            walk = [by_id[aid] for aid in word]
-        except KeyError as exc:
-            raise QvParseError(line_no, f"unknown arrow id {exc.args[0]!r} in relation") from None
-        _, start, at = walk[0]
-        for bid, source, target in walk[1:]:
-            if at != source:  # the message of Quiver.path's CompositionError
-                raise QvParseError(line_no, f"relation does not compose: word {tuple(word)} "
-                                   f"breaks at {bid!r}: expected source {at}, "
-                                   f"got {source}")
-            at = target
-        if len(word) < 2:
-            raise QvParseError(line_no, "relations must have length >= 2")
-        paths.append(Path(start, at, tuple(word)))
     return quiver, reduce_relations(paths)._of(quiver)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -108,12 +109,38 @@ def short_paths(q: qd.Quiver) -> list[qd.Path]:
     return [q.path(w[0].source, tuple(a.id for a in w)) for w in words]
 
 
+def sqh_conditions(q: qd.Quiver, paths, order: qd.Relabeling) -> dict[int, tuple[bool, bool]]:
+    """Per vertex i, whether R(i) is projective and whether Delta(i) has the
+    right composition factors under ``order``, both from their definitions
+    on ``paths``, the nonzero paths ``brute_force_nonzero_paths`` lists.
+
+    R(i) is projective iff each down-arrow a starts as many nonzero paths as
+    start at a's target, and Delta(i) has the right factors iff each nonzero
+    path of length >= 1 from i that does not start with a down-arrow ends
+    above i.
+    """
+    starts = Counter(source for source, _, _ in paths)
+    firsts = Counter(word[0] for _, _, word in paths if word)
+    rank = order.apply
+    conditions = {}
+    for i in q.vertices():
+        down = {a.id: a.target for a in q.out_arrows(i) if rank(a.target) < rank(i)}
+        r_ok = all(firsts[a] == starts[t] for a, t in down.items())
+        delta_ok = all(
+            rank(t) > rank(i) for s, t, w in paths if s == i and w and w[0] not in down
+        )
+        conditions[i] = (r_ok, delta_ok)
+    return conditions
+
+
 def brute_force_sqh_spectrum(q: qd.Quiver) -> dict[int, bool]:
     """Every finite global dimension of an admissible algebra kQ/I, where I
     runs over the reduced monomial ideals generated by paths of length 2 or
     3, mapped to whether one of the ideals reaching it is strongly
     quasi-hereditary under some order of the vertices.
 
+    The global dimension comes from ``qd.gldim``; strong quasi-heredity is
+    decided by ``sqh_conditions`` on brute-force paths, not by the package.
     Tries all 2**len(short_paths(q)) generator sets, so keep q small.
     """
     paths = short_paths(q)
@@ -129,8 +156,10 @@ def brute_force_sqh_spectrum(q: qd.Quiver) -> dict[int, bool]:
                 continue
             d = qd.gldim(algebra)
             if d != math.inf and not spectrum.get(d):
+                nonzero = brute_force_nonzero_paths(q, words)
                 spectrum[d] = any(
-                    qd.check_strongly_qh(algebra, order=o).overall for o in orders
+                    all(r and delta for r, delta in sqh_conditions(q, nonzero, o).values())
+                    for o in orders
                 )
     return spectrum
 

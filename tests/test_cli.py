@@ -397,6 +397,16 @@ BAD_QV1 = [
         "expected source 2, got 1",
     ),
     ("quiver 2\narrow a 1 1\nrelations\nrel a a\nrel a\n", "line 5: relations must have length >= 2"),
+    # a rel line is checked on its line, before any later line is read
+    (
+        "quiver 2\narrow a 1 2\nrelations\nrel a zz\nbogus line\n",
+        "line 4: unknown arrow id 'zz' in relation",
+    ),
+    (
+        "quiver 2\narrow a 1 2\narrow b 2 1\nrelations\nrel a a\nrelations\n",
+        "line 5: relation does not compose: word ('a', 'a') breaks at 'a': "
+        "expected source 2, got 1",
+    ),
     ("quiver 2\r\narrow a 1 2\rloop a 1\r\n", "line 3: unknown directive 'loop'"),
 ] + [
     # str.splitlines() also ends a line at these; QV1 does not

@@ -16,6 +16,7 @@ from conftest import (
     one_loop_algebra,
     random_loopless_quiver,
     short_paths,
+    sqh_conditions,
 )
 from test_construct import all_small_quivers
 
@@ -66,28 +67,15 @@ def test_hom_route_matches_combinatorial_route():
         report = qd.check_strongly_qh(algebra)
         for r in report.vertices.values():
             assert r.hom_delta_ok == r.delta_factors_ok
-        # Both conditions from their definitions, on brute-force paths only:
-        # R(i) is projective iff each down-arrow a starts as many nonzero
-        # paths as start at a's target, and Delta(i) has the right factors
-        # iff each nonzero path of length >= 1 from i that does not start
-        # with a down-arrow ends above i.
+        # Both conditions from their definitions, on brute-force paths only.
         q = algebra.quiver
         paths = brute_force_nonzero_paths(q, algebra.relations.words())
-        starts = Counter(source for source, _, _ in paths)
-        firsts = Counter(word[0] for _, _, word in paths if word)
         for labels in itertools.permutations(q.vertices()):
             order = qd.Relabeling(labels)
-            rank = order.apply
             report = qd.check_strongly_qh(algebra, order=order)
-            for i in q.vertices():
-                down = {a for a in q.out_arrows(i) if rank(a.target) < rank(i)}
-                r_ok = all(firsts[a.id] == starts[a.target] for a in down)
-                ids = {a.id for a in down}
-                delta_ok = all(
-                    rank(t) > rank(i) for s, t, w in paths if s == i and w and w[0] not in ids
-                )
+            for i, want in sqh_conditions(q, paths, order).items():
                 got = report.vertices[i]
-                assert (got.r_projective_ok, got.delta_factors_ok) == (r_ok, delta_ok), (q, i)
+                assert (got.r_projective_ok, got.delta_factors_ok) == want, (q, i)
 
 
 def test_hom_delta_ok_matches_matrix_fibers():
