@@ -372,7 +372,8 @@ class Algebra:
     def _enumerate_basis(self) -> BasisIndex:
         """Grow the nonzero paths level by level from the generator words,
         not the trie: a path stays nonzero with an arrow appended unless the
-        longer word ends with a generator."""
+        longer word ends with a generator.  The cap is checked before each
+        path grows, so at most one path's out-arrows are built past it."""
         gens = set(self.relations.words())
         lengths = {len(w) for w in gens}
         out, cap = self.quiver._out, MAX_BASIS_PATHS
@@ -381,12 +382,12 @@ class Algebra:
         while level:
             level.sort(key=Path.sort_key)
             paths.extend(level)
-            if len(paths) > cap:
-                raise BasisCapExceeded(
-                    f"more than {cap} nonzero paths; is the relation set admissible?"
-                )
             grown = []
             for source, target, word in level:
+                if len(paths) + len(grown) > cap:
+                    raise BasisCapExceeded(
+                        f"more than {cap} nonzero paths; is the relation set admissible?"
+                    )
                 for a in out[target]:
                     w = word + (a.id,)
                     if not any(w[-k:] in gens for k in lengths):

@@ -27,12 +27,14 @@ whose elimination would need more than ``MAX_ENTRIES`` matrix entries is
 refused before anything is allocated, with ``OracleCapExceeded``.
 
 Arithmetic.  Entries are integers in [0, p) held as int64.  A product
-with inner dimension k runs in float64, through BLAS, while every partial
-sum stays an integer below 2**53, that is while (p-1)**2 * k < 2**53, so it
-is exact; past that bound it runs in int64 (exact below 2**63, but numpy
-has no BLAS path for it), and past that it raises.  ``_mul`` checks the
-bound before every product.  Elimination updates rows entrywise, with
-products below p**2 and no sums.
+with inner dimension k runs in float64, through BLAS, and is exact while
+every partial sum stays an integer below 2**53, that is while
+(p-1)**2 * k < 2**53; ``_mul`` checks that bound before every product and
+raises past it.  The caps keep every product inside it: k is a fiber of a
+module (at most ``MAX_BASIS_PATHS`` paths) or of a kernel (at most
+isqrt(``MAX_ENTRIES``) vectors), and (``MAX_PRIME``-1)**2 * 10**6 is about
+1.07e15.  Elimination updates rows entrywise, with products below p**2 and
+no sums.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ DEFAULT_PRIME = 101
 
 
 # (p-1)**2 < 2**30, so a float64 product is exact for inner dimension below
-# 2**23 and an int64 product below 2**33
+# 2**23, above every fiber the basis and entry caps allow
 MAX_PRIME = 32749
 
 
@@ -79,22 +81,17 @@ def _require_prime(p: int) -> None:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for entries in [0, p), as int64: a float64 product
-    while it is exact, else an int64 one; raises if int64 could overflow."""
+    """(a @ b) mod p for entries in [0, p), as int64, through an exact
+    float64 product; raises where a partial sum could reach 2**53."""
     k = a.shape[-1]
-    bound = (p - 1) ** 2 * k
-    if bound >= 2**63:
-        raise OverflowError(f"int64 product of inner dimension {k} not exact mod {p}")
-    if bound < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    return (a @ b) % p
+    if (p - 1) ** 2 * k >= 2**53:
+        raise OverflowError(f"float64 product of inner dimension {k} not exact mod {p}")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
 
 
 def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; pivot = first nonzero entry per column."""
     rows, cols = m.shape
-    if not rows or not cols:
-        return np.zeros((0, cols), dtype=np.int64), []
     m = np.asarray(m, dtype=np.int64) % p
     pivot_cols: list[int] = []
     r = 0
@@ -123,9 +120,7 @@ def _rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def _nullspace(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Canonical kernel basis (rows), one vector per free column, ascending,
     and those free columns: the basis is the identity there."""
-    rows, cols = m.shape
-    if not rows or not cols:
-        return np.eye(cols, dtype=np.int64), list(range(cols))
+    cols = m.shape[1]
     rr, pivots = _rref(m, p)
     free = sorted(set(range(cols)).difference(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
@@ -281,33 +276,36 @@ def _cover_kernels(
     """
     q = algebra.quiver
     arrows = q.arrow_by_id
-    cover_dims = dict.fromkeys(q.vertices(), 0)
-    units: list[tuple[int, int, int]] = []  # (vertex, top coordinate, column)
-    # (length, last arrow) -> rows of the parents and of the grown paths
-    levels: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
     basis = algebra.basis
-    for v in sorted(lifts):
-        if not lifts[v]:
-            continue
+    tops = [v for v in sorted(lifts) if lifts[v]]
+    cover_dims = dict.fromkeys(q.vertices(), 0)
+    for v in tops:
         if v not in basis.trees:
             basis.trees[v] = _path_tree(basis.by_source[v])
-        count, steps = basis.trees[v]
-        for k in lifts[v]:
-            start = {w: cover_dims[w] for w in count}
-            for w, n in count.items():
-                cover_dims[w] += n
-            units.append((v, k, start[v]))
-            for length, arrow_id, parent, j in steps:
-                a = arrows[arrow_id]
-                src, dst = levels.setdefault((length, arrow_id), ([], []))
-                src.append(start[a.source] + parent)
-                dst.append(start[a.target] + j)
+        for w, n in basis.trees[v][0].items():
+            cover_dims[w] += n * len(lifts[v])
     for w, n in cover_dims.items():
         if n * max(rep.dims[w], n) > MAX_ENTRIES:
             raise OracleCapExceeded(
                 f"the oracle's projective cover has {n} basis elements at vertex {w}; "
                 f"eliminating there needs more than {MAX_ENTRIES} matrix entries"
             )
+    filled = dict.fromkeys(q.vertices(), 0)
+    units: list[tuple[int, int, int]] = []  # (vertex, top coordinate, column)
+    # (length, last arrow) -> rows of the parents and of the grown paths
+    levels: dict[tuple[int, str], tuple[list[int], list[int]]] = {}
+    for v in tops:
+        count, steps = basis.trees[v]
+        for k in lifts[v]:
+            start = {w: filled[w] for w in count}
+            for w, n in count.items():
+                filled[w] += n
+            units.append((v, k, start[v]))
+            for length, arrow_id, parent, j in steps:
+                a = arrows[arrow_id]
+                src, dst = levels.setdefault((length, arrow_id), ([], []))
+                src.append(start[a.source] + parent)
+                dst.append(start[a.target] + j)
     images = {
         w: np.zeros((rep.dims[w], n), dtype=np.int64)
         for w, n in cover_dims.items()

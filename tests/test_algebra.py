@@ -171,6 +171,29 @@ def test_basis_cap(monkeypatch):
         algebra.basis
 
 
+def test_basis_cap_stops_before_building_a_whole_level(monkeypatch):
+    # 1 -> 2 (x20), 2 -> 3 (x10), 3 -> 4 (x20), no relations: the levels hold
+    # 50, 400 and 4,000 paths.  Past a cap of 100 at most one path's
+    # out-arrows (20) are built, not the whole second level.
+    arrows = [qd.Arrow(f"a{k}", 1, 2) for k in range(20)]
+    arrows += [qd.Arrow(f"b{k}", 2, 3) for k in range(10)]
+    arrows += [qd.Arrow(f"c{k}", 3, 4) for k in range(20)]
+    algebra = qd.Algebra(qd.Quiver(4, tuple(arrows)), ())
+    built = 0
+
+    class CountedPath(qd.Path):
+        def __new__(cls, *fields):
+            nonlocal built
+            built += 1
+            return qd.Path(*fields)
+
+    monkeypatch.setattr(qd.algebra, "MAX_BASIS_PATHS", 100)
+    monkeypatch.setattr(qd.algebra, "Path", CountedPath)
+    with pytest.raises(qd.BasisCapExceeded, match="more than 100 nonzero paths"):
+        algebra.basis
+    assert 100 - 4 < built <= 100 + 20
+
+
 def test_basis_subpath_closed():
     rng = random.Random(5)
     quivers = [golden_quiver()] + [random_loopless_quiver(rng, n_max=5) for _ in range(10)]

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ def test_field_validation(golden):
 
 
 def test_products_check_their_exactness_bound():
-    # (p-1)**2 * k must stay below 2**63; a zero-stride view costs no memory
+    # (p-1)**2 * k must stay below 2**53; a zero-stride view costs no memory
     wide = np.lib.stride_tricks.as_strided(
         np.zeros(1, dtype=np.int64), shape=(1, 2**34), strides=(0, 0)
     )
@@ -175,14 +177,46 @@ def test_products_check_their_exactness_bound():
         a = np.full((3, 10**4), p - 1, dtype=np.int64)
         b = np.full((10**4, 2), p - 1, dtype=np.int64)
         assert np.array_equal(oracle._mul(a, b, p), (a @ b) % p)
-    # past 2**53 it runs in int64: this sum, odd and about 1.8e16, has no
-    # float64 representation
+    # past 2**53 it raises: this sum, odd and about 1.8e16, has no float64
+    # representation
     p, k = oracle.MAX_PRIME, 2**24 - 1
     tall = np.lib.stride_tricks.as_strided(
         np.full(1, p - 2, dtype=np.int64), shape=(1, k), strides=(0, 0)
     )
     assert (p - 1) ** 2 * k >= 2**53
-    assert oracle._mul(tall, tall.T, p) == (p - 2) ** 2 * k % p
+    with pytest.raises(OverflowError):
+        oracle._mul(tall, tall.T, p)
+
+
+def test_the_caps_keep_every_product_exact():
+    # A product's inner dimension is a module fiber (at most MAX_BASIS_PATHS
+    # paths) or a kernel fiber (at most isqrt(MAX_ENTRIES) vectors), so
+    # _mul never meets its bound; raising a cap past it fails here.
+    k = max(qd.algebra.MAX_BASIS_PATHS, math.isqrt(oracle.MAX_ENTRIES))
+    assert (oracle.MAX_PRIME - 1) ** 2 * k < 2**53
+
+
+def test_an_oversized_cover_is_refused_before_it_is_built(monkeypatch):
+    # Arrows 1 -> 2 (a0..a63), c: 2 -> 3, 3 -> 4 (x30), 4 -> 5 (x30) and
+    # relations a_t c: the second syzygy of S(1) is covered by 64 copies of
+    # P(2), which has 932 paths.  The cap refuses that cover by its size
+    # alone, without listing its 59,648 elements.
+    arrows = [qd.Arrow(f"a{t}", 1, 2) for t in range(64)] + [qd.Arrow("c", 2, 3)]
+    arrows += [qd.Arrow(f"d{t}", 3, 4) for t in range(30)]
+    arrows += [qd.Arrow(f"e{t}", 4, 5) for t in range(30)]
+    q = qd.Quiver(5, tuple(arrows))
+    algebra = qd.Algebra(q, [q.path(1, (f"a{t}", "c")) for t in range(64)])
+    algebra.basis
+    # the cover of S(1) is P(1): 64 elements at vertex 2, 64 * 64 entries
+    monkeypatch.setattr(oracle, "MAX_ENTRIES", 64 * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(oracle.OracleCapExceeded, match="has 1920 basis elements at vertex 4;"):
+            oracle.minimal_resolution(algebra, ModuleSpec.simple(q, 1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # listing the cover first took 4.6 MB
 
 
 def _rank_by_hand(rows, p):
@@ -245,6 +279,16 @@ def test_elimination_on_general_entries():
                         y[j, 1] = (y[j, 1] + 1) % p
                         with pytest.raises(ArithmeticError):
                             oracle._coords(span, unit, y, p)
+
+
+def test_elimination_on_empty_shapes():
+    # No rows or no columns: no pivots, and the kernel is the whole space.
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        rr, pivots = oracle._rref(np.zeros((rows, cols), dtype=np.int64), 101)
+        assert rr.shape == (0, cols) and rr.dtype == np.int64 and pivots == []
+        basis, free = oracle._nullspace(np.zeros((rows, cols), dtype=np.int64), 101)
+        assert basis.dtype == np.int64 and free == list(range(cols))
+        assert np.array_equal(basis, np.eye(cols, dtype=np.int64))
 
 
 def test_one_loop_quadratic_alternating_syzygies():

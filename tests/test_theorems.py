@@ -1,7 +1,8 @@
 """Theorems about monomial algebras as a third check, beside the two engines.
 
-Each test draws seeded random algebras and asks only the public ``qd.gldim``;
-a draw that is not admissible is skipped.
+Each test draws seeded random algebras and skips a draw that is not
+admissible.  The theorems ask only the public ``qd.gldim``; on quivers with
+loops the two engines are also checked against each other.
 """
 
 import math
@@ -9,6 +10,8 @@ import random
 from collections import Counter
 
 import quiverdim as qd
+from quiverdim import oracle
+from quiverdim.algebra import ModuleSpec
 
 
 def random_walks(rng: random.Random, q: qd.Quiver, count: int, lengths: range) -> list[qd.Path]:
@@ -30,6 +33,17 @@ def random_walks(rng: random.Random, q: qd.Quiver, count: int, lengths: range) -
     return paths
 
 
+def quiver_with_a_loop(rng: random.Random, n_max: int) -> qd.Quiver:
+    """1..n_max vertices, one loop and 0..4 arrows between distinct vertices."""
+    n = rng.randint(1, n_max)
+    v = rng.randint(1, n)
+    arrows = [qd.Arrow("loop", v, v)]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for k in range(rng.randint(0, 4) if pairs else 0):
+        arrows.append(qd.Arrow(f"x{k}", *rng.choice(pairs)))
+    return qd.Quiver(n, tuple(arrows))
+
+
 def gldim_or_none(q: qd.Quiver, relations: list[qd.Path]):
     """The global dimension of kQ/I, or None when I is not admissible."""
     try:
@@ -44,13 +58,7 @@ def test_no_loops_theorem():
     rng = random.Random(83)
     admissible = 0
     for _ in range(3000):
-        n = rng.randint(1, 4)
-        v = rng.randint(1, n)
-        arrows = [qd.Arrow("loop", v, v)]
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        for k in range(rng.randint(0, 4) if pairs else 0):
-            arrows.append(qd.Arrow(f"x{k}", *rng.choice(pairs)))
-        q = qd.Quiver(n, tuple(arrows))
+        q = quiver_with_a_loop(rng, 4)
         d = gldim_or_none(q, random_walks(rng, q, rng.randint(1, 6), range(2, 5)))
         if d is not None:
             admissible += 1
@@ -73,3 +81,39 @@ def test_serial_bound_on_oriented_cycles():
     assert set(highest) == set(range(2, 8))
     # the draws reach the bound on the shorter cycles
     assert [highest[n] for n in (2, 3, 4)] == [2, 4, 6]
+
+
+def test_engines_agree_on_quivers_with_a_loop():
+    # With a loop the chain walk meets the same state again and again; the
+    # mod-p oracle resolves by linear algebra and shares none of that walk.
+    rng = random.Random(97)
+    builds = (ModuleSpec.simple, ModuleSpec.delta, ModuleSpec.gamma, ModuleSpec.projective)
+    compared = 0
+    for _ in range(1500):
+        q = quiver_with_a_loop(rng, 3)
+        algebra = qd.Algebra(q, random_walks(rng, q, rng.randint(1, 6), range(2, 5)))
+        if not algebra.admissibility.ok:
+            continue
+        compared += 1
+        for spec in (build(q, v) for build in builds for v in q.vertices()):
+            chain = qd.resolve(algebra, spec, max_deg=6)
+            matrix = oracle.minimal_resolution(algebra, spec, 6)
+            assert (chain.betti, chain.complete) == (matrix.betti, matrix.complete), (q, spec)
+    assert compared >= 900  # 940 of the 1,500 draws, at most 32 paths each
+
+
+def test_pdims_with_a_loop_do_not_depend_on_the_labels():
+    rng = random.Random(101)
+    checked = 0
+    for _ in range(1500):
+        q = quiver_with_a_loop(rng, 4)
+        relations = random_walks(rng, q, rng.randint(1, 6), range(2, 5))
+        algebra = qd.Algebra(q, relations)
+        if not algebra.admissibility.ok:
+            continue
+        checked += 1
+        sigma = qd.Relabeling(tuple(rng.sample(range(1, q.n + 1), q.n)))
+        moved = [qd.Path(sigma.apply(p.source), sigma.apply(p.target), p.word) for p in relations]
+        pdims = qd.pdims_of_simples(qd.Algebra(qd.relabel(q, sigma), moved))
+        assert pdims == {sigma.apply(v): d for v, d in qd.pdims_of_simples(algebra).items()}, q
+    assert checked >= 900  # 918 of the 1,500 draws, with 972 finite pdims
