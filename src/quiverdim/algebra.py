@@ -7,13 +7,17 @@ once as a trie with failure links (Aho-Corasick, 1975), the one relation
 index: building it drops redundant words, one walk on it tests for zero.
 ``Algebra`` turns the trie into its one automaton, on int states, whose
 transition table decides for the chain engine whether appending an arrow
-keeps a path nonzero.  The algebra is finite-dimensional iff the automaton
-is acyclic.  The search is ``quiver.find_cycle``, the walk ``homology``
-runs on its chain graph: it returns a cycle of states, read back as a
-witness path, or the longest path of every state, which gives the
-nilpotency bound.  The sqh test of ``qh`` walks the table too.  The basis
-does not: it grows from the generator words with its own suffix test, so
-the oracle and the Euler check that read it also check the automaton.
+keeps a path nonzero.  A trie node's row of moves is its failure link's
+row with the node's own children put in, so the rows hold one entry per
+out-arrow of each state's vertex; they are counted before any is built,
+and more than ``MAX_TRANSITIONS`` are refused.  The algebra is
+finite-dimensional iff the automaton is acyclic.  The search is
+``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
+returns a cycle of states, read back as a witness path, or the longest
+path of every state, which gives the nilpotency bound.  The sqh test of
+``qh`` walks the table too.  The basis does not: it grows from the
+generator words with its own suffix test, so the oracle and the Euler
+check that read it also check the automaton.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Iterable, Iterator, Optional
 from .quiver import Path, Quiver, find_cycle
 
 MAX_BASIS_PATHS = 1_000_000  # the most nonzero paths ``basis`` lists, read when it runs
+MAX_TRANSITIONS = 10_000_000  # the most automaton rows' entries, read when they are built
 
 
 class NotAdmissibleError(ValueError):
@@ -60,32 +65,39 @@ class RelationSet:
     generators: tuple[Path, ...]
 
     def __post_init__(self):
-        ordered = sorted(set(self.generators), key=Path.sort_key)
+        # dict.fromkeys keeps the given order, often sorted already, which
+        # sorted() then only checks; set() would shuffle it
+        ordered = sorted(dict.fromkeys(self.generators), key=Path.sort_key)
         if ordered and ordered[0].length < 2:  # the short paths sort first
             p = ordered[0]
             raise NotAdmissibleError(
                 f"zero relation {p} has length {p.length}; relations must have length >= 2"
             )
         vars(self)["_quiver"] = None
-        dropped = self._number([p.word for p in ordered])
-        if dropped:  # number the kept words again: no node of a dropped word stays
+        dropped, stray = self._number([p.word for p in ordered])
+        if dropped:
             ordered = [p for i, p in enumerate(ordered) if i not in dropped]
-            self._number([p.word for p in ordered])
+            if stray:  # number the kept words again: no node of a dropped word stays
+                self._number([p.word for p in ordered])
         object.__setattr__(self, "generators", tuple(ordered))
 
-    def _number(self, words: list[tuple[str, ...]]) -> set[int]:
+    def _number(self, words: list[tuple[str, ...]]) -> tuple[set[int], bool]:
         """Build the trie one depth at a time, so that a node's failure link,
         a shorter node, exists when the node is made.  ``out`` links a node to
         the deepest node on its failure chain, itself included, where a word
         ends; ``words`` come shortest first, so a word ends before a longer
         one passes.  A word stops at the first node where another one ends
-        inside it, and its index is in what is returned.  Distinct paths of
-        one quiver have distinct words (an arrow fixes its source), so a word
+        inside it, and its index is in the set returned.  The flag returned
+        tells whether such a word made a node: a word keeps its place among
+        the words at each depth, so one that made a node made every later
+        node on its way, the one it stops at too.  Distinct paths of one
+        quiver have distinct words (an arrow fixes its source), so a word
         that ends where the same word ended raises."""
         children: list[dict[str, int]] = [{}]
         depth, fail, out, word_at = [0], [0], [0], {}
         vars(self).update(children=children, depth=depth, fail=fail, word_at=word_at)
         dropped: set[int] = set()
+        stray = False
         level = [(0, i, word) for i, word in enumerate(words)]
         d = 0
         while level:
@@ -93,7 +105,8 @@ class RelationSet:
             for node, i, word in level:
                 aid = word[d]
                 child = children[node].get(aid)
-                if child is None:
+                made = child is None
+                if made:
                     child = children[node][aid] = len(children)
                     back = fail[node]
                     while back and aid not in children[back]:
@@ -108,13 +121,14 @@ class RelationSet:
                         w = ".".join(word)
                         raise ValueError(f"relation set not reduced: {w} is an infix of {w}")
                     dropped.add(i)
+                    stray |= made
                 elif d + 1 < len(word):
                     grown.append((child, i, word))
                 else:
                     word_at[child], out[child] = word, child
             level = grown
             d += 1
-        return dropped
+        return dropped, stray
 
     def _of(self, quiver: Quiver) -> "RelationSet":
         vars(self)["_quiver"] = quiver
@@ -269,7 +283,12 @@ class Algebra:
     def _number_states(self) -> None:
         """Fill ``transitions``, ``kills`` and ``vertex_of`` in trie order: a
         node moves to its children, and elsewhere as its failure link (or its
-        vertex's root) does, a shorter state already done."""
+        vertex's root) does, a shorter state already done.  Both end at the
+        node's vertex, so a node's row is its link's row with its children
+        put in: their arrows are keys of that row already.  A row holds an
+        entry per out-arrow of its state's vertex, so the entries are counted
+        first, and more than ``MAX_TRANSITIONS`` raise before any row is
+        built."""
         children, fail = self.relations.children, self.relations.fail
         out, arrows = self.quiver._out, self.quiver.arrow_by_id
         step: dict[int, dict[str, int]] = {}  # state -> {arrow id: next node or leaf}
@@ -277,15 +296,20 @@ class Algebra:
         for own in children:
             for aid, child in own.items():
                 vertex[child] = arrows[aid].target
+        inner = [node for node in range(1, len(children)) if children[node]]
+        total = len(self.quiver.arrows) + sum(len(out[vertex[node]]) for node in inner)
+        cap = MAX_TRANSITIONS
+        if total > cap:
+            raise ValueError(
+                f"the automaton needs {total} transitions, more than {cap}; "
+                "is the relation set too large for this quiver?"
+            )
         first = children[0]
         for v in self.quiver.vertices():
             vertex[-v] = v
             step[-v] = {a.id: first.get(a.id) or -a.target for a in out[v]}
-        for node in range(1, len(children)):
-            own = children[node]
-            if own:  # a leaf is a relation, not a state
-                back = step[fail[node] or -vertex[node]]
-                step[node] = {aid: own.get(aid) or t for aid, t in back.items()}
+        for node in inner:  # a leaf is a relation, not a state
+            step[node] = {**step[fail[node] or -vertex[node]], **children[node]}
         for state, row in step.items():
             live, dead = [], []
             for aid, t in row.items():
@@ -328,7 +352,8 @@ class Algebra:
         moves = self.transitions
         starts = [-v for v in self.quiver.vertices()]
         longest = self.state_depths  # filled once: ``admissibility`` is cached
-        walk = find_cycle(starts, lambda s: [t for _, t in moves[s]], longest)
+        targets = {s: [t for _, t in row] for s, row in moves.items()}
+        walk = find_cycle(starts, targets.__getitem__, longest)
         if walk is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
         witness = self._witness(walk)

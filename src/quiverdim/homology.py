@@ -93,7 +93,9 @@ def _successors(algebra: Algebra, state: int) -> tuple[tuple[int, int, int], ...
                     while depth[back] > k:
                         back = fail[back]
                     found.append((back or -vertex[leaf], k, leaf))
-            todo.extend((t, k) for _, t in moves[node] if t > 0 and depth[t] > k)
+            for _, t in moves[node]:
+                if t > 0 and depth[t] > k:
+                    todo.append((t, k))
         algebra.successors[state] = found = tuple(found)
     return found
 
@@ -167,7 +169,7 @@ def _pdim(algebra: Algebra, starts: list[int]) -> ExtNat:
 
     if find_cycle(starts, kids, depths) is not None:
         return INFINITE
-    return 1 + max(depths[s] for s in starts)
+    return 1 + max(map(depths.__getitem__, starts))
 
 
 def pdims_of_simples(algebra: Algebra) -> dict[int, ExtNat]:

@@ -10,8 +10,10 @@ monomial ideals both conditions are word-combinatorial, and neither a matrix
 nor the path basis is built: the first asks whether a relation starts with
 a down-arrow, a child of the relation trie's root, and the second is
 reachability in the automaton of ``Algebra``, whose states are numbered
-trie nodes.  The Hom criterion dim Hom(P(j), Delta(i)) = [Delta(i) : S(j)]
-counts the same paths it reaches.
+trie nodes.  Each out-arrow is sorted into down or not by comparing ranks,
+so a vertex costs time linear in its out-degree.  The Hom criterion
+dim Hom(P(j), Delta(i)) = [Delta(i) : S(j)] counts the same paths it
+reaches.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     starts = algebra.relations.children[0]  # the first arrows of the relations
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
-        down = [a for a in q.out_arrows(i) if rank(a.target) < rank(i)]
+        r = rank(i)
         # the image of a down-arrow is projective iff no relation starts with it
-        r_ok = not any(a.id in starts for a in down)
-        delta_ok = all(low[s] > rank(i) for a, s in moves[-i] if a not in down)
+        r_ok = not any(a.id in starts for a in q.out_arrows(i) if rank(a.target) < r)
+        delta_ok = all(low[s] > r for a, s in moves[-i] if rank(a.target) >= r)
         per_vertex[i] = SqhVertexReport(r_ok, delta_ok, delta_ok)
     overall = all(r.r_projective_ok and r.delta_factors_ok for r in per_vertex.values())
     return SqhReport(per_vertex, overall)

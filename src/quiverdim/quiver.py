@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 _ID_RE = re.compile(r"\w+\Z", re.ASCII)
@@ -116,14 +117,14 @@ class Quiver:
         out: dict[int, list[Arrow]] = {v: [] for v in self.vertices()}
         for a in self.arrows:
             out[a.source].append(a)
-        return {v: tuple(sorted(out[v], key=lambda a: (a.target, a.id))) for v in out}
+        return {v: tuple(sorted(out[v], key=itemgetter(2, 0))) for v in out}
 
     @cached_property
     def _inc(self) -> dict[int, tuple[Arrow, ...]]:
         inc: dict[int, list[Arrow]] = {v: [] for v in self.vertices()}
         for a in self.arrows:
             inc[a.target].append(a)
-        return {v: tuple(sorted(inc[v], key=lambda a: (a.source, a.id))) for v in inc}
+        return {v: tuple(sorted(inc[v], key=itemgetter(1, 0))) for v in inc}
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

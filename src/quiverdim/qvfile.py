@@ -19,6 +19,13 @@ names the first bad line; neither the ``Quiver`` nor the ``Algebra`` built
 from its result checks them again.
 Numbers are ASCII digits, and a quiver has at most ``MAX_VERTICES``
 vertices.
+
+``parse`` tests a line's directive in the order of how often it occurs:
+``rel``, ``arrow``, then ``quiver`` and ``relations``, which come once.
+Each check is the same whatever the order, so the first bad line and its
+message are too.  A line pays for dropping empty fields only when it has
+one, and an endpoint's width is compared against the vertex count's,
+taken once on the ``quiver`` line.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .quiver import _ID_RE, Arrow, Path, Quiver
 
 MAX_VERTICES = 100_000
 _DIGITS = re.compile(r"[0-9]+\Z")  # int() would also take "+1", "1_0" and other scripts' digits
+_INTEGER = re.compile(r"-?[0-9]+\Z")  # an endpoint; a negative one is refused as out of range
 
 
 class QvParseError(ValueError):
@@ -40,64 +48,33 @@ class QvParseError(ValueError):
 
 
 def parse(text: str) -> tuple[Quiver, RelationSet]:
-    n = None
+    n = width = None
     by_id: dict[str, Arrow] = {}
     paths: list[Path] = []
     in_relations = False
+    new = tuple.__new__  # Arrow and Path values, without their Python-level __new__
+    arrow_of = by_id.__getitem__
     # not splitlines(), which also ends a line at \x0c, \x85, U+2028 and more
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").replace("\t", " ").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        # not split(), which also separates at \x0b, \xa0, U+3000 and more
-        fields = [f for f in raw.split("#", 1)[0].replace("\t", " ").split(" ") if f]
-        if not fields:
-            continue
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        # tabs are spaces by now; not split(), which also separates at \x0b,
+        # \xa0, U+3000 and more
+        fields = raw.split(" ")
+        if "" in fields:
+            fields = [f for f in fields if f]
+            if not fields:
+                continue
         directive = fields[0]
-        if directive == "quiver":
-            if n is not None:
-                raise QvParseError(line_no, "duplicate 'quiver' directive")
-            if len(fields) != 2 or not _DIGITS.match(fields[1]):
-                raise QvParseError(line_no, "expected: quiver <vertex count>")
-            # numbers are compared by their significant digits first, as
-            # int() refuses a string of more than 4,300 digits
-            digits = fields[1].lstrip("0") or "0"
-            if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
-                raise QvParseError(line_no, f"more than {MAX_VERTICES} vertices")
-            n = int(digits)
-        elif directive == "arrow":
-            if n is None:
-                raise QvParseError(line_no, "'arrow' before 'quiver'")
-            if in_relations:
-                raise QvParseError(line_no, "'arrow' after 'relations'")
-            if len(fields) != 4:
-                raise QvParseError(line_no, "expected: arrow <id> <source> <target>")
-            aid, source, target = fields[1:]
-            if not _ID_RE.match(aid):  # the message of Quiver's own check
-                raise QvParseError(line_no, f"arrow id {aid!r} is not an ASCII word")
-            if aid in by_id:
-                raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
-            if not all(_DIGITS.match(end.removeprefix("-")) for end in (source, target)):
-                raise QvParseError(line_no, "arrow endpoints must be integers")
-            source, target = source.lstrip("0") or "0", target.lstrip("0") or "0"
-            if max(len(source), len(target)) > len(str(n)):
-                raise QvParseError(line_no, f"endpoint outside 1..{n}")
-            s, t = int(source), int(target)
-            if not (1 <= s <= n and 1 <= t <= n):
-                raise QvParseError(line_no, f"endpoint outside 1..{n}")
-            by_id[aid] = Arrow(aid, s, t)
-        elif directive == "relations":
-            if n is None:
-                raise QvParseError(line_no, "'relations' before 'quiver'")
-            if in_relations:
-                raise QvParseError(line_no, "duplicate 'relations' directive")
-            in_relations = True
-        elif directive == "rel":
+        if directive == "rel":
             if not in_relations:
                 raise QvParseError(line_no, "'rel' before 'relations'")
             if len(fields) < 2:
                 raise QvParseError(line_no, "empty relation")
             word = tuple(fields[1:])
             try:  # one lookup per arrow; an unknown id is reported before a break
-                walk = [by_id[aid] for aid in word]
+                walk = list(map(arrow_of, word))
             except KeyError as exc:
                 message = f"unknown arrow id {exc.args[0]!r} in relation"
                 raise QvParseError(line_no, message) from None
@@ -110,7 +87,46 @@ def parse(text: str) -> tuple[Quiver, RelationSet]:
                 at = target
             if len(word) < 2:
                 raise QvParseError(line_no, "relations must have length >= 2")
-            paths.append(Path(start, at, word))
+            paths.append(new(Path, (start, at, word)))
+        elif directive == "arrow":
+            if n is None:
+                raise QvParseError(line_no, "'arrow' before 'quiver'")
+            if in_relations:
+                raise QvParseError(line_no, "'arrow' after 'relations'")
+            if len(fields) != 4:
+                raise QvParseError(line_no, "expected: arrow <id> <source> <target>")
+            _, aid, source, target = fields
+            if not _ID_RE.match(aid):  # the message of Quiver's own check
+                raise QvParseError(line_no, f"arrow id {aid!r} is not an ASCII word")
+            if aid in by_id:
+                raise QvParseError(line_no, f"duplicate arrow id {aid!r}")
+            if not (_INTEGER.match(source) and _INTEGER.match(target)):
+                raise QvParseError(line_no, "arrow endpoints must be integers")
+            source, target = source.lstrip("0") or "0", target.lstrip("0") or "0"
+            if len(source) > width or len(target) > width:
+                raise QvParseError(line_no, f"endpoint outside 1..{n}")
+            s, t = int(source), int(target)
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise QvParseError(line_no, f"endpoint outside 1..{n}")
+            by_id[aid] = new(Arrow, (aid, s, t))
+        elif directive == "quiver":
+            if n is not None:
+                raise QvParseError(line_no, "duplicate 'quiver' directive")
+            if len(fields) != 2 or not _DIGITS.match(fields[1]):
+                raise QvParseError(line_no, "expected: quiver <vertex count>")
+            # numbers are compared by their significant digits first, as
+            # int() refuses a string of more than 4,300 digits
+            digits = fields[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+                raise QvParseError(line_no, f"more than {MAX_VERTICES} vertices")
+            n = int(digits)
+            width = len(str(n))  # the most significant digits an endpoint may have
+        elif directive == "relations":
+            if n is None:
+                raise QvParseError(line_no, "'relations' before 'quiver'")
+            if in_relations:
+                raise QvParseError(line_no, "duplicate 'relations' directive")
+            in_relations = True
         else:
             raise QvParseError(line_no, f"unknown directive {directive!r}")
     if n is None:

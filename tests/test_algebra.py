@@ -68,6 +68,62 @@ def test_reduction_sorts_and_refuses_a_repeated_word():
         assert str(info.value) == "relation set not reduced: a.b is an infix of a.b"
 
 
+def trie_tables(relations):
+    return relations.children, relations.fail, relations.depth, relations.word_at
+
+
+@pytest.mark.parametrize(
+    "words, numberings",
+    [
+        # a1.a2.a3 stops at a1.a2, a node a1.a2 made: one numbering
+        ([("a1", "a2"), ("a1", "a2", "a3")], 1),
+        # a1.a2.a3 makes a1.a2.a3 before it finds a2.a3 ending there: two
+        ([("a2", "a3"), ("a1", "a2", "a3")], 2),
+    ],
+)
+def test_the_trie_is_numbered_again_only_for_a_node_of_a_dropped_word(
+    words, numberings, monkeypatch
+):
+    q = linear_quiver(4)
+    paths = [q.path(q.arrow(w[0]).source, w) for w in words]
+    calls = []
+    number = qd.RelationSet._number
+
+    def spy(self, words):
+        calls.append(words)
+        return number(self, words)
+
+    monkeypatch.setattr(qd.RelationSet, "_number", spy)
+    relations = qd.RelationSet(tuple(paths))
+    assert len(calls) == numberings
+    monkeypatch.undo()
+    assert relations.generators == (paths[0],)
+    assert trie_tables(relations) == trie_tables(qd.RelationSet((paths[0],)))
+
+
+def fan(m: int):
+    """Arrows c_j: 1 -> 2 and a_k: 2 -> 3, and the relations c_j a0: the
+    automaton's rows hold m^2 + 2m entries."""
+    arrows = [qd.Arrow(f"c{j}", 1, 2) for j in range(m)]
+    arrows += [qd.Arrow(f"a{k}", 2, 3) for k in range(m)]
+    q = qd.Quiver(3, tuple(arrows))
+    return q, [q.path(1, (f"c{j}", "a0")) for j in range(m)]
+
+
+def test_transition_cap(monkeypatch):
+    q, relations = fan(3)
+    monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 15)
+    algebra = qd.Algebra(q, relations)
+    assert sum(len(algebra.transitions[s]) + len(algebra.kills[s]) for s in algebra.kills) == 15
+    monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 14)
+    with pytest.raises(ValueError) as info:
+        qd.Algebra(q, relations)
+    assert str(info.value) == (
+        "the automaton needs 15 transitions, more than 14; "
+        "is the relation set too large for this quiver?"
+    )
+
+
 def test_is_zero_path(golden):
     q = golden.quiver
     assert golden.is_zero_path(q.path(1, ("a", "d")))

@@ -190,6 +190,25 @@ def test_an_oversized_oracle_cover_is_an_input_error(monkeypatch, capsys):
     assert err.endswith(f"eliminating there needs more than {largest - 1} matrix entries\n")
 
 
+def test_an_oversized_automaton_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # the fan of 1 -> 2 (x3), 2 -> 3 (x3) and the relations c_j a0 needs 15
+    # transitions: refused past a cap of 14, with no traceback
+    lines = ["quiver 3"] + [f"arrow c{j} 1 2" for j in range(3)]
+    lines += [f"arrow a{k} 2 3" for k in range(3)] + ["relations"]
+    lines += [f"rel c{j} a0" for j in range(3)]
+    path = tmp_path / "fan.qv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 15)
+    assert cli.main(["gldim", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 14)
+    assert cli.main(["gldim", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: the automaton needs 15 transitions, more than 14; "
+        "is the relation set too large for this quiver?\n"
+    ))
+
+
 def test_not_admissible_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "free.qv"
     path.write_text(qvfile.emit(golden_quiver()))
@@ -462,6 +481,75 @@ def test_leading_zeros_do_not_count_as_digits():
     padded = "0" * 5000
     q, _ = qvfile.parse(f"quiver {padded}3\narrow a {padded}1 {padded}3\n")
     assert q == qd.Quiver(3, (qd.Arrow("a", 1, 3),))
+
+
+def random_relation_input(rng):
+    """A quiver and relation paths, not always reduced: the local-max ideal
+    of a random loopless quiver, or walks of length 2-5 on a cycle or on
+    loops at one vertex."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        q = random_loopless_quiver(rng)
+        return q, list(qd.local_max_ideal(q))
+    if kind == 1:
+        n = rng.randint(1, 5)
+        q = qd.Quiver(n, tuple(qd.Arrow(f"c{i}", i, i % n + 1) for i in range(1, n + 1)))
+    else:
+        q = qd.Quiver(1, tuple(qd.Arrow(f"x{k}", 1, 1) for k in range(rng.randint(1, 3))))
+    paths = []
+    for _ in range(rng.randint(0, 6)):
+        walk = [rng.choice(q.arrows)]
+        while len(walk) < 2 or (len(walk) < 5 and rng.random() < 0.5):
+            walk.append(rng.choice(q.out_arrows(walk[-1].target)))
+        paths.append(q.path(walk[0].source, tuple(a.id for a in walk)))
+    return q, paths
+
+
+def reformatted_qv1(rng, q, paths) -> str:
+    """QV1 for ``q`` and ``paths`` (shuffled, some twice) with random field
+    gaps of spaces and tabs, blank and comment lines, trailing comments,
+    leading zeros and \\n, \\r\\n or \\r line ends."""
+
+    def number(k):
+        return "0" * rng.choice((0, 0, 1, 4)) + str(k)
+
+    def gap():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
+
+    rows = [["quiver", number(q.n)]]
+    rows += [["arrow", a.id, number(a.source), number(a.target)] for a in q.arrows]
+    rels = paths + rng.sample(paths, rng.randint(0, len(paths)))
+    rng.shuffle(rels)
+    rows += [["relations"]] + [["rel", *p.word] for p in rels]
+    lines = []
+    for row in rows:
+        while rng.random() < 0.2:
+            lines.append(rng.choice(["", gap(), "# a comment", gap() + "#\trel x y # z"]))
+        line = rng.choice(["", gap()]) + gap().join(row) + rng.choice(["", gap()])
+        if rng.random() < 0.3:
+            line += rng.choice(["#", gap() + "# arrow a 1 2", "#\t# quiver 0"])
+        lines.append(line)
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+
+def test_reformatted_qv1_gives_the_same_tables():
+    """Whatever its layout, a QV1 file parses to the quiver and the relation
+    trie built from the paths directly; the generators are the reduced
+    paths sorted by ``Path.sort_key``, whatever order they come in."""
+    rng = random.Random(24)
+    for case in range(300):
+        q, paths = random_relation_input(rng)
+        expected = qd.RelationSet(tuple(paths))
+        q2, relations = qvfile.parse(reformatted_qv1(rng, q, paths))
+        assert q2 == q and q2.arrows == q.arrows, case
+        assert relations.generators == expected.generators, case
+        for table in ("children", "fail", "depth", "word_at"):
+            assert getattr(relations, table) == getattr(expected, table), (case, table)
+        kept = list(expected.generators)
+        shuffled = kept + rng.sample(kept, rng.randint(0, len(kept)))
+        rng.shuffle(shuffled)
+        generators = qd.RelationSet(tuple(shuffled)).generators
+        assert generators == tuple(sorted(set(kept), key=qd.Path.sort_key)), case
 
 
 BAD_SPECS = [
