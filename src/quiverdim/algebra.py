@@ -7,17 +7,18 @@ once as a trie with failure links (Aho-Corasick, 1975), the one relation
 index: building it drops redundant words, one walk on it tests for zero.
 ``Algebra`` turns the trie into its one automaton, on int states, whose
 transition table decides for the chain engine whether appending an arrow
-keeps a path nonzero.  A trie node's row of moves is its failure link's
-row with the node's own children put in, so the rows hold one entry per
-out-arrow of each state's vertex; they are counted before any is built,
-and more than ``MAX_TRANSITIONS`` are refused.  The algebra is
-finite-dimensional iff the automaton is acyclic.  The search is
-``quiver.find_cycle``, the walk ``homology`` runs on its chain graph: it
-returns a cycle of states, read back as a witness path, or the longest
-path of every state, which gives the nilpotency bound.  The sqh test of
-``qh`` walks the table too.  The basis does not: it grows from the
-generator words with its own suffix test, so the oracle and the Euler
-check that read it also check the automaton.
+keeps a path nonzero.  A state's row holds one int per out-arrow of its
+vertex: the next state, or the relation leaf the arrow completes.  A trie
+node's row is its failure link's row with the node's own children put
+in; the entries are counted before any row is built, and more than
+``MAX_TRANSITIONS`` are refused.  The algebra is finite-dimensional iff
+the automaton is acyclic.  The search is ``quiver.find_cycle``, the walk
+``homology`` runs on its chain graph: it returns a cycle of states, read
+back as a witness path, or the longest path of every state, which gives
+the nilpotency bound.  The sqh test of ``qh`` walks the table too.  The
+basis does not: it grows from the generator words with its own suffix
+test, so the oracle and the Euler check that read it also check the
+automaton.
 """
 
 from __future__ import annotations
@@ -247,8 +248,9 @@ class Algebra:
     k > 0 that is not a relation.  It stands for the nonzero paths ending
     there whose longest suffix that is a proper prefix of a relation is
     node k's word (none, for a root).  ``transitions`` maps a state to its
-    (arrow, next state) moves in out-arrow order, ``kills`` to its (arrow,
-    relation leaf) pairs, and ``vertex_of`` a state or leaf to its vertex.
+    row, one int per out-arrow of its vertex in ``Quiver._out`` order: the
+    next state, or the relation leaf the arrow completes, a trie node with
+    no children.  ``vertex_of`` maps a state or leaf to its vertex.
     ``state_depths`` holds the longest path from each state, which the
     admissibility walk leaves for ``qh``.
 
@@ -281,18 +283,16 @@ class Algebra:
         self._number_states()
 
     def _number_states(self) -> None:
-        """Fill ``transitions``, ``kills`` and ``vertex_of`` in trie order: a
-        node moves to its children, and elsewhere as its failure link (or its
-        vertex's root) does, a shorter state already done.  Both end at the
-        node's vertex, so a node's row is its link's row with its children
-        put in: their arrows are keys of that row already.  A row holds an
-        entry per out-arrow of its state's vertex, so the entries are counted
-        first, and more than ``MAX_TRANSITIONS`` raise before any row is
-        built."""
+        """Fill ``transitions`` and ``vertex_of`` in trie order: a node moves
+        to its children, and elsewhere as its failure link (or its vertex's
+        root) does, a shorter state already done.  Both end at the node's
+        vertex, so a node's row is a copy of its link's row with its
+        children put in at their arrows' columns.  A row holds an entry per
+        out-arrow of its state's vertex, so the entries are counted first,
+        and more than ``MAX_TRANSITIONS`` raise before any row is built."""
         children, fail = self.relations.children, self.relations.fail
         out, arrows = self.quiver._out, self.quiver.arrow_by_id
-        step: dict[int, dict[str, int]] = {}  # state -> {arrow id: next node or leaf}
-        moves, kills, vertex = self.transitions, self.kills, self.vertex_of = {}, {}, {}
+        rows, vertex = self.transitions, self.vertex_of = {}, {}
         for own in children:
             for aid, child in own.items():
                 vertex[child] = arrows[aid].target
@@ -307,14 +307,13 @@ class Algebra:
         first = children[0]
         for v in self.quiver.vertices():
             vertex[-v] = v
-            step[-v] = {a.id: first.get(a.id) or -a.target for a in out[v]}
+            rows[-v] = tuple(first.get(a.id) or -a.target for a in out[v])
+        column = {a.id: i for row in out.values() for i, a in enumerate(row)}
         for node in inner:  # a leaf is a relation, not a state
-            step[node] = {**step[fail[node] or -vertex[node]], **children[node]}
-        for state, row in step.items():
-            live, dead = [], []
-            for aid, t in row.items():
-                (live if t < 0 or children[t] else dead).append((arrows[aid], t))
-            moves[state], kills[state] = tuple(live), tuple(dead)
+            row = list(rows[fail[node] or -vertex[node]])
+            for aid, child in children[node].items():
+                row[column[aid]] = child
+            rows[node] = tuple(row)
 
     # -- zero tests ---------------------------------------------------------
 
@@ -349,10 +348,10 @@ class Algebra:
         return self._check_admissible()
 
     def _check_admissible(self) -> Admissibility:
-        moves = self.transitions
+        moves, children = self.transitions, self.relations.children
         starts = [-v for v in self.quiver.vertices()]
         longest = self.state_depths  # filled once: ``admissibility`` is cached
-        targets = {s: [t for _, t in row] for s, row in moves.items()}
+        targets = {s: [t for t in row if t < 0 or children[t]] for s, row in moves.items()}
         walk = find_cycle(starts, targets.__getitem__, longest)
         if walk is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
@@ -367,10 +366,8 @@ class Algebra:
         and last lmax-1 arrows), which fix the state, would close it: at the
         first t whose window recurs at t + c along the walk's word followed
         by the cycle's periodic extension."""
-        moves = self.transitions
-        word = [
-            next(a.id for a, t in moves[s] if t == after) for s, after in zip(walk, walk[1:])
-        ]
+        moves, out, vertex = self.transitions, self.quiver._out, self.vertex_of
+        word = [out[vertex[s]][moves[s].index(after)].id for s, after in zip(walk, walk[1:])]
         p = walk.index(walk[-1])
         cycle, c, keep = word[p:], len(word) - p, max(self.lmax - 1, 0)
         ahead = word + cycle * (keep // c + 1)
@@ -379,7 +376,7 @@ class Algebra:
             if ahead[t - keep : t] == ahead[t + c - keep : t + c]
         )
         i = (t - p) % c
-        start = self.vertex_of[walk[p + i]]
+        start = vertex[walk[p + i]]
         return Path(start, start, tuple(cycle[i:] + cycle[:i]))
 
     def require_admissible(self) -> None:

@@ -60,7 +60,7 @@ SHORTHANDS = {
 }
 
 
-def _vertex(text: str) -> int:  # int() under QV1's rule: ASCII digits, after an optional "-"
+def integer(text: str) -> int:  # int() under QV1's rule: ASCII digits, after an optional "-"
     if not qvfile._DIGITS.match(text.removeprefix("-")):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
@@ -71,10 +71,10 @@ def parse_module_spec(q: Quiver, text: str) -> ModuleSpec:
     kind = parts[0]
     try:
         if kind in SHORTHANDS and len(parts) == 2:
-            return SHORTHANDS[kind](q, _vertex(parts[1]))
+            return SHORTHANDS[kind](q, integer(parts[1]))
         if kind == "M" and len(parts) == 3:
             ids = [s for s in parts[2].split(",") if s]
-            return ModuleSpec.of(q, _vertex(parts[1]), ids)
+            return ModuleSpec.of(q, integer(parts[1]), ids)
     except ValueError as exc:
         raise ValueError(f"bad module spec {text!r}: {exc}") from None
     raise ValueError(
@@ -237,8 +237,7 @@ def _engine_comparisons(algebra: Algebra, max_deg: int, fields: list[Optional[in
     def compare(p: int, label: str, i: int):
         spec = SHORTHANDS[label](q, i)
         chain, matrix = chain_of(spec), matrix_of(spec, p)
-        same = chain.betti == matrix.betti and chain.complete == matrix.complete
-        return p, f"{label}_{i}", spec, chain, matrix, same
+        return p, f"{label}_{i}", spec, chain, matrix, chain == matrix
 
     labels = ("S", "Delta", "Gamma")
     return (compare(p, label, i) for p in primes for label in labels for i in q.vertices())
@@ -317,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("gldim", cmd_gldim, help="global dimension and per-simple pdims")
     p = add("resolve", cmd_resolve, help="minimal projective resolution (Betti data)")
     p.add_argument("--module", required=True, help=module_help)
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=integer, default=None)
     p = add("construct", cmd_construct, help="ideal achieving a target global dimension")
-    p.add_argument("--target", type=int, required=True)
+    p.add_argument("--target", type=integer, required=True)
     add("corollary", cmd_corollary, help="is global dimension 2 achievable?")
     add("check-sqh", cmd_check_sqh, help="strongly quasi-hereditary report")
     for name, fn, summary in (
@@ -327,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle-check", cmd_oracle_check, "Betti equality across engines and fields"),
     ):
         p = add(name, fn, help=summary)
-        p.add_argument("--field", type=int, default=None)
-        p.add_argument("--max-deg", type=int, default=8)
+        p.add_argument("--field", type=integer, default=None)
+        p.add_argument("--max-deg", type=integer, default=8)
     p = add("render", cmd_render, help="DOT diagram of a module quiver")
     p.add_argument("--module", required=True, help=module_help)
     for name, p in sub.choices.items():

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, ModuleSpec
 from .quiver import Path, find_cycle
@@ -74,28 +74,28 @@ def _successors(algebra: Algebra, state: int) -> tuple[tuple[int, int, int], ...
     """(state, length, relation leaf) of each successor p of a chain node g
     in ``state``, memoised per state.  p completes a relation u ++ p with u
     a nonempty suffix of g, and no proper prefix of p does.  So the walk
-    reads p along the automaton while the state's word is longer than the
-    part of p read (still reaches into g), and ends p at an arrow killed by
-    a relation longer than p.  p's own state is the first node on its
-    relation's failure chain that fits in p."""
+    reads p along the automaton while the node's word is longer than the
+    part of p read (still reaches into g): a state it reaches is pushed,
+    and a leaf, a relation longer than p, ends p.  p's own state is the
+    first node on its relation's failure chain that fits in p."""
     found = algebra.successors.get(state)
     if found is None:
-        depth, fail = algebra.relations.depth, algebra.relations.fail
-        moves, kills, vertex = algebra.transitions, algebra.kills, algebra.vertex_of
+        relations, moves, vertex = algebra.relations, algebra.transitions, algebra.vertex_of
+        children, depth, fail = relations.children, relations.depth, relations.fail
         found = []
         todo = [(state, 0)] if state > 0 else []
         while todo:
             node, k = todo.pop()
             k += 1
-            for _, leaf in kills[node]:
-                if depth[leaf] > k:
-                    back = fail[leaf]
+            for t in moves[node]:
+                if t > 0 and depth[t] > k:
+                    if children[t]:
+                        todo.append((t, k))
+                        continue
+                    back = fail[t]
                     while depth[back] > k:
                         back = fail[back]
-                    found.append((back or -vertex[leaf], k, leaf))
-            for _, t in moves[node]:
-                if t > 0 and depth[t] > k:
-                    todo.append((t, k))
+                    found.append((back or -vertex[t], k, t))
         algebra.successors[state] = found = tuple(found)
     return found
 
@@ -111,10 +111,9 @@ def _paths(algebra: Algebra, state: int) -> list[tuple[Path, int]]:
 def _level_one(algebra: Algebra, spec: ModuleSpec) -> list[tuple[Path, int]]:
     """The killed arrows of ``spec`` as (path, state) pairs, in id order."""
     algebra.check_module(spec)  # every killed arrow starts at spec.vertex
-    first = dict(algebra.transitions[-spec.vertex])  # no relation is one arrow long
-    return [
-        (Path(a.source, a.target, (a.id,)), first[a]) for a in sorted(first) if a.id in spec.killed
-    ]
+    row = zip(algebra.quiver._out[spec.vertex], algebra.transitions[-spec.vertex])
+    # a root's row holds states only: no relation is one arrow long
+    return [(Path(a.source, a.target, (a.id,)), t) for a, t in sorted(row) if a.id in spec.killed]
 
 
 def resolve(
@@ -159,7 +158,7 @@ def pdim(algebra: Algebra, spec: ModuleSpec) -> ExtNat:
     return _pdim(algebra, [state for _, state in _level_one(algebra, spec)])
 
 
-def _pdim(algebra: Algebra, starts: list[int]) -> ExtNat:
+def _pdim(algebra: Algebra, starts: Sequence[int]) -> ExtNat:
     if not starts:
         return 0
     depths = algebra.depths
@@ -175,8 +174,8 @@ def _pdim(algebra: Algebra, starts: list[int]) -> ExtNat:
 def pdims_of_simples(algebra: Algebra) -> dict[int, ExtNat]:
     """``pdim`` of each simple, whose level one is every out-arrow."""
     algebra.require_admissible()
-    moves = algebra.transitions
-    return {v: _pdim(algebra, [t for _, t in moves[-v]]) for v in algebra.quiver.vertices()}
+    moves = algebra.transitions  # a root's row holds states only
+    return {v: _pdim(algebra, moves[-v]) for v in algebra.quiver.vertices()}
 
 
 def gldim(algebra: Algebra) -> ExtNat:

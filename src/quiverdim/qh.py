@@ -61,19 +61,22 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     if order.n != q.n:
         raise ValueError(f"order has {order.n} vertices, the quiver {q.n}")
     rank = order.apply
-    # low[s]: the lowest rank of a vertex reachable from automaton state s.
-    # The admissibility walk measured every state; s -> t has longest[s] > longest[t].
+    # low[s]: the lowest rank of a vertex reachable from automaton state s, not
+    # by its row's leaves.  The admissibility walk measured every state; s -> t
+    # has longest[s] > longest[t].
     longest, moves, vertex = algebra.state_depths, algebra.transitions, algebra.vertex_of
+    children = algebra.relations.children
     low: dict[int, int] = {}
     for s in sorted(longest, key=longest.get):
-        low[s] = min([rank(vertex[s])] + [low[t] for _, t in moves[s]])
-    starts = algebra.relations.children[0]  # the first arrows of the relations
+        low[s] = min([rank(vertex[s])] + [low[t] for t in moves[s] if t < 0 or children[t]])
+    starts = children[0]  # the first arrows of the relations
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
         r = rank(i)
         # the image of a down-arrow is projective iff no relation starts with it
         r_ok = not any(a.id in starts for a in q.out_arrows(i) if rank(a.target) < r)
-        delta_ok = all(low[s] > r for a, s in moves[-i] if rank(a.target) >= r)
+        row = zip(q.out_arrows(i), moves[-i])  # a root's row holds states only
+        delta_ok = all(low[s] > r for a, s in row if rank(a.target) >= r)
         per_vertex[i] = SqhVertexReport(r_ok, delta_ok, delta_ok)
     overall = all(r.r_projective_ok and r.delta_factors_ok for r in per_vertex.values())
     return SqhReport(per_vertex, overall)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -114,7 +115,7 @@ def test_transition_cap(monkeypatch):
     q, relations = fan(3)
     monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 15)
     algebra = qd.Algebra(q, relations)
-    assert sum(len(algebra.transitions[s]) + len(algebra.kills[s]) for s in algebra.kills) == 15
+    assert sum(map(len, algebra.transitions.values())) == 15
     monkeypatch.setattr(qd.algebra, "MAX_TRANSITIONS", 14)
     with pytest.raises(ValueError) as info:
         qd.Algebra(q, relations)
@@ -122,6 +123,18 @@ def test_transition_cap(monkeypatch):
         "the automaton needs 15 transitions, more than 14; "
         "is the relation set too large for this quiver?"
     )
+
+
+def test_automaton_near_the_cap_stays_small():
+    # fan(1000) has 1,002,000 row entries: one int each, no (arrow, state) pair
+    q, relations = fan(1000)
+    tracemalloc.start()
+    try:
+        assert qd.Algebra(q, relations).admissibility.ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_is_zero_path(golden):
@@ -549,14 +562,13 @@ def test_killed_arrow_step_matches_suffix_test():
             vertex = algebra.vertex_of[s]
             if s > 0:
                 assert q.path(q.arrow(node_words[s][0]).source, node_words[s]).target == vertex
-            live, dead = {}, {}
+            row = []
             for a in q.out_arrows(vertex):
                 grown = (node_words[s] if s > 0 else ()) + (a.id,)
                 suffixes = [grown[cut:] for cut in range(len(grown))]
-                if any(w in words for w in suffixes):
-                    dead[a] = node_words.index(next(w for w in suffixes if w in words))
+                if any(w in words for w in suffixes):  # the relation leaf
+                    row.append(node_words.index(next(w for w in suffixes if w in words)))
                 else:  # the longest suffix that is a proper prefix of a relation
                     inner = [w for w in suffixes if w in node_words]
-                    live[a] = node_words.index(inner[0]) if inner else -a.target
-            assert algebra.transitions[s] == tuple(live.items()), (case, s)
-            assert algebra.kills[s] == tuple(dead.items()), (case, s)
+                    row.append(node_words.index(inner[0]) if inner else -a.target)
+            assert algebra.transitions[s] == tuple(row), (case, s)

@@ -280,6 +280,29 @@ def test_bad_numeric_options_are_input_errors(argv, message, golden_file, capsys
     assert captured.err == f"error: {message}\n"
 
 
+INTEGER_FLAGS = [
+    ["resolve", "--module", "S:1", "--max-deg"],
+    ["verify", "--max-deg"],
+    ["oracle-check", "--max-deg"],
+    ["construct", "--target"],
+    ["verify", "--field"],
+    ["oracle-check", "--field"],
+]
+
+
+@pytest.mark.parametrize("spelling", ["+3", "1_01", "\u0663"])
+@pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=" ".join)
+def test_integer_flags_follow_the_qv1_digit_rule(argv, spelling, golden_file, capsys):
+    # int() takes each spelling, as 3 or 101; flags take ASCII digits after
+    # an optional "-", like vertex numbers in QV1 and in --module
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [golden_file] + argv[1:] + [spelling])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[-1]}: invalid integer value: {spelling!r}" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
