@@ -13,12 +13,12 @@ node's row is its failure link's row with the node's own children put
 in; the entries are counted before any row is built, and more than
 ``MAX_TRANSITIONS`` are refused.  The algebra is finite-dimensional iff
 the automaton is acyclic.  The search is ``quiver.find_cycle``, the walk
-``homology`` runs on its chain graph: it returns a cycle of states, read
-back as a witness path, or the longest path of every state, which gives
-the nilpotency bound.  The sqh test of ``qh`` walks the table too.  The
-basis does not: it grows from the generator words with its own suffix
-test, so the oracle and the Euler check that read it also check the
-automaton.
+``homology`` runs on its chain graph, on the rows as they are: its memo
+holds each leaf at -1 from the start, and it enters no node in its memo.
+It returns a cycle of states, read back as a witness path, or the longest
+path of every state: the nilpotency bound.  ``qh`` reads the table too,
+the basis does not: it grows from the generator words with its own
+suffix test, so the oracle and the Euler check also check the automaton.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class Algebra:
     row, one int per out-arrow of its vertex in ``Quiver._out`` order: the
     next state, or the relation leaf the arrow completes, a trie node with
     no children.  ``vertex_of`` maps a state or leaf to its vertex.
-    ``state_depths`` holds the longest path from each state, which the
-    admissibility walk leaves for ``qh``.
+    ``state_depths`` maps each leaf to -1, and the admissibility walk adds
+    the longest path from each state, which it leaves for ``qh``.
 
     The chain graph of ``homology`` belongs to the algebra, so every
     simple, ``pdim``, ``resolve`` and cycle search shares it.  A chain
@@ -279,7 +279,7 @@ class Algebra:
         self.lmax = max(relations.depth)
         self.successors: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self.depths: dict[int, int | float] = {}
-        self.state_depths: dict[int, int | float] = {}
+        self.state_depths: dict[int, int | float] = dict.fromkeys(relations.word_at, -1)
         self._number_states()
 
     def _number_states(self) -> None:
@@ -348,11 +348,9 @@ class Algebra:
         return self._check_admissible()
 
     def _check_admissible(self) -> Admissibility:
-        moves, children = self.transitions, self.relations.children
         starts = [-v for v in self.quiver.vertices()]
         longest = self.state_depths  # filled once: ``admissibility`` is cached
-        targets = {s: [t for t in row if t < 0 or children[t]] for s, row in moves.items()}
-        walk = find_cycle(starts, targets.__getitem__, longest)
+        walk = find_cycle(starts, self.transitions.__getitem__, longest)
         if walk is None:
             return Admissibility(True, bound=1 + max((longest[s] for s in starts), default=0))
         witness = self._witness(walk)

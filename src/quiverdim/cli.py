@@ -261,7 +261,8 @@ def cmd_verify(args, quiver, relations):
     comparisons = _engine_comparisons(algebra, args.max_deg, [args.field])
     adm = algebra.admissibility
     detail = f"all paths of length {adm.bound} vanish" if adm.ok else adm.reason
-    checks = [{"name": "admissible", "ok": adm.ok, "detail": detail}]
+    ok = adm.ok and adm.bound == 1 + max((p.length for p in algebra.basis.paths), default=0)
+    checks = [{"name": "admissible", "ok": ok, "detail": detail}]
     euler: dict[ModuleSpec, bool] = {}  # one check per distinct spec
     for _, name, spec, chain, matrix, same in comparisons if adm.ok else ():
         detail = "chain and matrix engines agree" if same else f"chain={chain} matrix={matrix}"

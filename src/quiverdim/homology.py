@@ -77,7 +77,8 @@ def _successors(algebra: Algebra, state: int) -> tuple[tuple[int, int, int], ...
     reads p along the automaton while the node's word is longer than the
     part of p read (still reaches into g): a state it reaches is pushed,
     and a leaf, a relation longer than p, ends p.  p's own state is the
-    first node on its relation's failure chain that fits in p."""
+    first node on its relation's failure chain that fits in p.  The one
+    reader of a row that tells a leaf from a state: it needs the leaf."""
     found = algebra.successors.get(state)
     if found is None:
         relations, moves, vertex = algebra.relations, algebra.transitions, algebra.vertex_of

@@ -61,15 +61,14 @@ def check_strongly_qh(algebra: Algebra, order: Optional[Relabeling] = None) -> S
     if order.n != q.n:
         raise ValueError(f"order has {order.n} vertices, the quiver {q.n}")
     rank = order.apply
-    # low[s]: the lowest rank of a vertex reachable from automaton state s, not
-    # by its row's leaves.  The admissibility walk measured every state; s -> t
-    # has longest[s] > longest[t].
+    # low[s]: the lowest rank of a vertex reachable from automaton state s; a
+    # leaf reaches none, so it ranks above all.  The admissibility walk measured
+    # every state (the set is reduced), and s -> t has longest[s] > longest[t].
     longest, moves, vertex = algebra.state_depths, algebra.transitions, algebra.vertex_of
-    children = algebra.relations.children
-    low: dict[int, int] = {}
-    for s in sorted(longest, key=longest.get):
-        low[s] = min([rank(vertex[s])] + [low[t] for t in moves[s] if t < 0 or children[t]])
-    starts = children[0]  # the first arrows of the relations
+    low = dict.fromkeys(algebra.relations.word_at, q.n + 1)
+    for s in sorted(moves, key=longest.get):
+        low[s] = min([rank(vertex[s])] + [low[t] for t in moves[s]])
+    starts = algebra.relations.children[0]  # the first arrows of the relations
     per_vertex: dict[int, SqhVertexReport] = {}
     for i in q.vertices():
         r = rank(i)

@@ -126,15 +126,19 @@ def test_transition_cap(monkeypatch):
 
 
 def test_automaton_near_the_cap_stays_small():
-    # fan(1000) has 1,002,000 row entries: one int each, no (arrow, state) pair
+    # fan(1000) has 1,002,000 row entries: one int each, no (arrow, state)
+    # pair; the admissibility walk reads the rows as they are, not a copy
     q, relations = fan(1000)
     tracemalloc.start()
     try:
-        assert qd.Algebra(q, relations).admissibility.ok
+        algebra = qd.Algebra(q, relations)
+        built = tracemalloc.get_traced_memory()[1]
+        assert algebra.admissibility.ok
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+    assert peak - built < 2**20, (built, peak)
 
 
 def test_is_zero_path(golden):
@@ -554,6 +558,10 @@ def test_killed_arrow_step_matches_suffix_test():
         algebra = qd.Algebra(q, relations)
         words = algebra.relations.words()
         assert algebra.admissibility == brute_force_admissibility(q, words), case
+        if algebra.admissibility.ok:  # what qh reads: every state measured, leaves at -1
+            depths = algebra.state_depths
+            assert all(s in depths for s in algebra.transitions), case
+            assert all(depths[leaf] == -1 for leaf in algebra.relations.word_at), case
         node_words = trie_words(algebra.relations)
         states = [s for s in algebra.transitions if s < 0 or algebra.relations.children[s]]
         assert sorted(algebra.transitions) == sorted(states)

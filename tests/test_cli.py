@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -79,6 +80,25 @@ def test_verify_catches_an_automaton_without_failure_links(tmp_path, monkeypatch
     assert cli.main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     assert "check betti_match_S_1: FAIL" in out
+    assert out.endswith("some checks FAILED\n")
+
+
+def test_verify_checks_the_bound_it_prints(monkeypatch, capsys):
+    # A bound one too large still says every path of that length vanishes;
+    # the longest path of the basis, grown without the automaton, refutes it.
+    assert cli.main(["verify", GOLDEN_QV]) == 0
+    row = "check admissible: ok (all paths of length 5 vanish)\n"
+    assert capsys.readouterr().out.startswith(row)
+    check_admissible = qd.Algebra._check_admissible
+
+    def one_too_large(self):
+        adm = check_admissible(self)
+        return dataclasses.replace(adm, bound=adm.bound + 1)
+
+    monkeypatch.setattr(qd.Algebra, "_check_admissible", one_too_large)
+    assert cli.main(["verify", GOLDEN_QV]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("check admissible: FAIL (all paths of length 6 vanish)\n")
     assert out.endswith("some checks FAILED\n")
 
 
