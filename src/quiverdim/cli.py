@@ -26,7 +26,6 @@ truncated resolution computes and prints every degree up to it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -170,7 +169,7 @@ def cmd_construct(args, quiver, relations):
         "certificate": {
             "kind": cert.kind,
             "m": cert.m,
-            "embedding": None if emb is None else dataclasses.asdict(emb),
+            "embedding": None if emb is None else emb._asdict(),
             "relabeling": {str(old): new for old, new in relabeling.items()},
             "generators": [list(g.word) for g in cert.ideal],
         },
@@ -208,7 +207,14 @@ def cmd_check_sqh(args, quiver, relations):
             )
         print(f"strongly quasi-hereditary: {'yes' if report.overall else 'no'}")
 
-    vertices = {str(v): dataclasses.asdict(r) for v, r in report.vertices.items()}
+    vertices = {
+        str(v): {
+            "r_projective_ok": r.r_projective_ok,
+            "delta_factors_ok": r.delta_factors_ok,
+            "hom_delta_ok": r.hom_delta_ok,
+        }
+        for v, r in report.vertices.items()
+    }
     payload = {"sqh": {"overall": report.overall, "vertices": vertices}}
     return (0 if report.overall else 1), payload, text
 

@@ -157,7 +157,10 @@ class PlanResult:
 
 
 def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
-    return next((e for e in find_a_embeddings(q, m) if is_extendable(q, e) is None), None)
+    for emb in find_a_embeddings(q, m):
+        if is_extendable(q, emb) is None:
+            return emb
+    return None
 
 
 def _arrows_ascending(q: Quiver) -> Relabeling:
@@ -243,8 +246,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         return PlanResult(None, (f"global dimension 1 needs an acyclic quiver with arrows: {why}",))
 
     if target == 2:
-        ok, witness = gldim2_achievable(q)
-        if not ok:
+        if any(a.is_loop for a in q.arrows) or not any(q.out_arrows(a.target) for a in q.arrows):
             return PlanResult(
                 None,
                 ("global dimension 2 needs a loopless quiver with a composable arrow pair",),
@@ -252,7 +254,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         sigma = identity
         ideal = local_max_ideal(q)
         if not ideal:  # no vertex is a local max in the quiver's own order
-            _, sigma = witness
+            _, (_, sigma) = gldim2_achievable(q)
             ideal = _ideal(q, sigma.apply)
         cert = _certify(q, LOCAL_MAX, 2, ideal, sigma, None, None)
         return PlanResult(cert, tuple(attempts))

@@ -5,9 +5,10 @@ stay stable under relabeling.  Path words are stored in traversal order:
 the first-traversed arrow comes first.  (Algebraic texts often write the
 product of arrows in composition order, i.e. reversed; every word in this
 package, including relation words in files, is a traversal-order word.)
-``Arrow`` and ``Path`` are ``NamedTuple`` values, hashed and compared as
-plain tuples: a ``Path`` equals the tuple ``(source, target, word)``, and
-``len(path)`` is 3, so code must use ``path.length``.
+``Arrow``, ``Path`` and ``Embedding`` are ``NamedTuple`` values, hashed and
+compared as plain tuples: a ``Path`` equals the tuple ``(source, target,
+word)``, and ``len(path)`` is 3, so code must use ``path.length``; likewise
+``len(emb)`` is 4, so code must use ``emb.m``.
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ def find_cycle(starts: Iterable, successors: Callable, longest: dict) -> Optiona
     return None
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """A simple directed path v_1 -> ... -> v_m realized by chosen arrows.
 
     ``cycle_arrow`` (with 1-based ``return_index`` i) is an optional extra
@@ -270,40 +270,66 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
     """Yield every simple directed path on m distinct vertices (none, at
     once, when m exceeds the vertex count).
 
-    One embedding per choice of vertices AND arrows, in lexicographic order
-    on the vertex sequence with arrow ids breaking ties.  Iterative
-    backtracking with a visited set; raises SearchBudgetExceeded after
-    ``SEARCH_BUDGET`` search nodes (the problem is longest-path-hard in
-    general, instances here are small).
+    One embedding per choice of vertices AND arrows, in the preorder of the
+    search: start vertices ascend, and each vertex's out-arrows are tried
+    by (target, id), the order of its ``Quiver._out`` row.  That is not
+    lexicographic on the vertex sequence: with arrows a, b: 1 -> 2,
+    c: 2 -> 4 and d: 2 -> 3 the order is 1-a-2-d-3, 1-a-2-c-4, 1-b-2-d-3,
+    1-b-2-c-4.  Iterative backtracking over the ``_out`` rows.  A search
+    node is a prefix, counted as it is entered, and each is one loop turn:
+    of the main loop, or, for a full line, of the loop over its parent's
+    row, which yields each line without stacking it.  Raises
+    SearchBudgetExceeded on entering node ``SEARCH_BUDGET + 1`` (the
+    problem is longest-path-hard in general, instances here are small).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > q.n:
         return
-    steps, budget = 0, SEARCH_BUDGET
+    # tuple.__new__ builds an Embedding without the NamedTuple constructor's argument handling
+    out, make, steps, budget = q._out, tuple.__new__, 0, SEARCH_BUDGET
+    over = f"embedding search exceeded {budget} nodes"
+    seen = [False] * (q.n + 1)  # by vertex: on the current prefix
     for start in q.vertices():
         # vertices[k] is entered by arrows[k] (None at the start); todo[k]
         # holds the out-arrows of vertices[k] not tried yet.
-        vertices, arrows, todo, visited = [start], [None], [], {start}
-        while vertices:
+        vertices, arrows, todo = [start], [None], []
+        seen[start] = True
+        while True:  # the prefix ``vertices`` was just entered
             steps += 1
             if steps > budget:
-                raise SearchBudgetExceeded(f"embedding search exceeded {budget} nodes")
-            if len(vertices) == m:
-                yield Embedding(tuple(vertices), tuple(arrows[1:]))
-            todo.append(iter(q.out_arrows(vertices[-1]) if len(vertices) < m else ()))
-            while todo:
-                for arrow_id, _, target in todo[-1]:  # an Arrow is (id, source, target)
-                    if target not in visited:
+                raise SearchBudgetExceeded(over)
+            depth = len(vertices)
+            if depth < m - 1:
+                todo.append(iter(out[vertices[-1]]))
+            else:
+                if depth == m:  # m == 1: the start alone is a line
+                    yield make(Embedding, ((start,), (), None, None))
+                else:  # each child is a line: enter, yield and leave it here
+                    head, word = tuple(vertices), tuple(arrows[1:])
+                    for arrow_id, _, target in out[vertices[-1]]:  # (id, source, target)
+                        if not seen[target]:
+                            steps += 1
+                            if steps > budget:
+                                raise SearchBudgetExceeded(over)
+                            line = (head + (target,), word + (arrow_id,), None, None)
+                            yield make(Embedding, line)
+                seen[vertices.pop()] = False
+                arrows.pop()
+            while todo:  # on to the next prefix, stepping back past spent rows
+                for arrow_id, _, target in todo[-1]:
+                    if not seen[target]:
                         break
-                else:  # every out-arrow tried: step back
+                else:
                     todo.pop()
-                    visited.discard(vertices.pop())
+                    seen[vertices.pop()] = False
                     arrows.pop()
                     continue
                 vertices.append(target)
                 arrows.append(arrow_id)
-                visited.add(target)
+                seen[target] = True
+                break
+            else:  # every prefix from this start is done
                 break
 
 
@@ -312,7 +338,10 @@ def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:
     any: the first by (target, id), which is the order of ``out_arrows``."""
     last = emb.vertices[-1]
     inside = set(emb.vertices)
-    return next((a for a in q.out_arrows(last) if a.target in inside and a.target != last), None)
+    for a in q.out_arrows(last):
+        if a.target in inside and a.target != last:
+            return a
+    return None
 
 
 def find_x_embedding(q: Quiver, m: int) -> Optional[Embedding]:

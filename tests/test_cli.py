@@ -110,6 +110,15 @@ def test_check_sqh_never_builds_the_basis(monkeypatch, capsys):
     assert {"exit": code, "stdout": out, "stderr": err} == want
 
 
+def test_check_sqh_records_carry_every_report_field(capsys):
+    # the records are written field by field: a field added to the report
+    # must not drop out of the JSON
+    assert cli.main(["check-sqh", GOLDEN_QV, "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["sqh"]["vertices"]
+    fields = [f.name for f in dataclasses.fields(qd.qh.SqhVertexReport)]
+    assert records and all(sorted(r) == sorted(fields) for r in records.values())
+
+
 @pytest.mark.parametrize("shape", ["K5-localmax", "A30-chain"])
 def test_gldim_checks_each_fact_once(shape, tmp_path, monkeypatch, capsys):
     # qvfile.parse checks every relation, and the planner builds its ideals

@@ -120,6 +120,65 @@ def test_search_budget(monkeypatch):
         list(qd.find_a_embeddings(q, 5))
 
 
+def search_preorder(q, m):
+    """Every prefix the embedding search enters, in its order: start
+    vertices ascend, out-arrows go by (target, id), no vertex repeats, and
+    a prefix of m vertices has no children."""
+    prefixes = []
+
+    def grow(vertices, arrows):
+        prefixes.append((vertices, arrows))
+        if len(vertices) == m:
+            return
+        outs = [a for a in q.arrows if a.source == vertices[-1]]
+        for a in sorted(outs, key=lambda a: (a.target, a.id)):
+            if a.target not in vertices:
+                grow(vertices + (a.target,), arrows + (a.id,))
+
+    for v in q.vertices():
+        grow((v,), ())
+    return prefixes
+
+
+def test_search_order_is_preorder_by_target_then_id():
+    arrows = (("a", 1, 2), ("b", 1, 2), ("c", 2, 4), ("d", 2, 3))
+    q = qd.Quiver(4, tuple(qd.Arrow(*a) for a in arrows))
+    got = [(emb.vertices, emb.arrows) for emb in qd.find_a_embeddings(q, 3)]
+    assert got == [
+        ((1, 2, 3), ("a", "d")),
+        ((1, 2, 4), ("a", "c")),
+        ((1, 2, 3), ("b", "d")),
+        ((1, 2, 4), ("b", "c")),
+    ]
+
+
+def test_search_matches_brute_force_node_for_node(monkeypatch):
+    # the yield order and the node at which the budget runs out are pinned
+    # to the preorder of search_preorder
+    rng = random.Random(29)
+    parallel = 0
+    for _ in range(40):
+        q = random_loopless_quiver(rng, n_max=6, r_max=2)
+        parallel += any(q.r(a.source, a.target) > 1 for a in q.arrows)
+        for m in range(1, q.n + 1):
+            prefixes = search_preorder(q, m)
+            lines = [qd.Embedding(vs, arrows) for vs, arrows in prefixes if len(vs) == m]
+            assert list(qd.find_a_embeddings(q, m)) == lines
+            total = len(prefixes)
+            for budget in sorted({1, 2, 3, 7, total // 2 + 1, total - 1, total} - {0}):
+                monkeypatch.setattr(qd.quiver, "SEARCH_BUDGET", budget)
+                got, raised = [], False
+                try:
+                    for emb in qd.find_a_embeddings(q, m):
+                        got.append(emb)
+                except qd.SearchBudgetExceeded:
+                    raised = True
+                assert raised == (total > budget)
+                assert got == lines[: sum(len(vs) == m for vs, _ in prefixes[:budget])]
+            monkeypatch.undo()
+    assert parallel > 10
+
+
 def test_is_extendable_linear_none():
     q = linear_quiver(3)
     emb = next(qd.find_a_embeddings(q, 3))
