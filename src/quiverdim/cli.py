@@ -20,7 +20,12 @@ it: one chain resolution, one matrix resolution per prime and, in
 ``verify``, one Euler check.
 
 ``--max-deg`` must lie in 0..``MAX_DEG``, checked before admissibility: a
-truncated resolution computes and prints every degree up to it.
+truncated resolution computes and prints every degree up to it.  Betti
+numbers can grow exponentially with the degree (10^d over two vertices with
+10 arrows each way), so ``resolve`` refuses, before it prints anything, a
+resolution with a Betti number of more digits than Python converts to text
+(``sys.get_int_max_str_digits()``, 4,300 by default).  It reads that limit
+at each call and never changes it.
 """
 
 from __future__ import annotations
@@ -99,6 +104,11 @@ def cmd_gldim(args, quiver, relations):
     return 0, {"gldim": _ext(value), "pdims": {str(v): _ext(d) for v, d in pdims.items()}}, text
 
 
+@functools.cache
+def _least_unprintable(limit: int) -> int:  # the least int of more than ``limit`` digits
+    return 10**limit
+
+
 def cmd_resolve(args, quiver, relations):
     _check_max_deg(args.max_deg)
     algebra = _admissible(quiver, relations)
@@ -108,6 +118,15 @@ def cmd_resolve(args, quiver, relations):
     except InfiniteResolutionError as exc:
         message = f"infinite resolution: {exc} (rerun with --max-deg)"
         return 1, None, lambda: print(message, file=sys.stderr)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        cap = _least_unprintable(limit)
+        for d, layer in enumerate(res.betti):
+            if max(layer.values(), default=0) >= cap:
+                raise ValueError(
+                    f"degree {d} has a Betti number of more than {limit} digits, "
+                    f"past Python's limit for printing an integer; rerun with --max-deg below {d}"
+                )
     pdim = res.pdim() if res.complete else None
 
     def text():

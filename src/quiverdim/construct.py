@@ -110,19 +110,17 @@ def chain_cubic_ideal(q: Quiver, m: int) -> RelationSet:
 
 def gldim2_achievable(q: Quiver) -> tuple[bool, Optional[tuple[Path, Relabeling]]]:
     """Loopless with a composable arrow pair?  The witness is the first
-    length-2 path and the relabeling that moves its middle vertex to n."""
+    length-2 path by arrow ids (the least by ``Path.sort_key``), and the
+    relabeling that moves its middle vertex to n."""
     if any(a.is_loop for a in q.arrows):
         return False, None
-    witness = min(
-        (Path(a.source, b.target, (a.id, b.id)) for a in q.arrows for b in q.out_arrows(a.target)),
-        key=Path.sort_key,
-        default=None,
-    )
-    if witness is None:
+    # Arrows compare as (id, source, target) tuples, and ids are unique.
+    a = min((a for a in q.arrows if q._out[a.target]), default=None)
+    if a is None:
         return False, None
-    middle = q.arrow(witness.word[0]).target
-    order = tuple(v for v in q.vertices() if v != middle) + (middle,)
-    return True, (witness, Relabeling(order).inverse())
+    b = min(q._out[a.target])
+    order = tuple(v for v in q.vertices() if v != a.target) + (a.target,)
+    return True, (Path(a.source, b.target, (a.id, b.id)), Relabeling(order).inverse())
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,8 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         return PlanResult(None, (f"global dimension 1 needs an acyclic quiver with arrows: {why}",))
 
     if target == 2:
-        if any(a.is_loop for a in q.arrows) or not any(q.out_arrows(a.target) for a in q.arrows):
+        ok, witness = gldim2_achievable(q)
+        if not ok:
             return PlanResult(
                 None,
                 ("global dimension 2 needs a loopless quiver with a composable arrow pair",),
@@ -254,7 +253,7 @@ def achieve_gldim(q: Quiver, target: int) -> PlanResult:
         sigma = identity
         ideal = local_max_ideal(q)
         if not ideal:  # no vertex is a local max in the quiver's own order
-            _, (_, sigma) = gldim2_achievable(q)
+            sigma = witness[1]
             ideal = _ideal(q, sigma.apply)
         cert = _certify(q, LOCAL_MAX, 2, ideal, sigma, None, None)
         return PlanResult(cert, tuple(attempts))

@@ -155,8 +155,7 @@ class Quiver:
             raise ValueError(f"unknown vertex {v} (quiver has vertices 1..{self.n})")
 
     def trivial_path(self, v: int) -> Path:
-        self._check_vertex(v)
-        return Path(v, v, ())
+        return self.path(v, ())
 
     def path(self, source: int, word) -> Path:
         """Build a path from a traversal-order word, validating composability."""
@@ -173,29 +172,21 @@ class Quiver:
         return Path(source, at, tuple(word))
 
     def has_path(self, p: Path) -> bool:
-        """True if ``p`` is a valid path of this quiver (ids and endpoints)."""
-        at, target, word = p  # unpacked: a NamedTuple field read costs twice a local's
-        if not (1 <= at <= self.n):
+        """True if ``path`` builds ``p`` from its source and word: the ids,
+        the composition and both declared endpoints hold in this quiver."""
+        source, target, word = p
+        try:
+            return self.path(source, word) == (source, target, tuple(word))
+        except (KeyError, ValueError):  # an unknown id or vertex, or a CompositionError
             return False
-        by_id = self.arrow_by_id
-        for arrow_id in word:
-            _, source, end = by_id.get(arrow_id, ("", 0, 0))  # no arrow starts at vertex 0
-            if source != at:
-                return False
-            at = end
-        return at == target
 
 
 class StructurePredicates(NamedTuple):
-    has_loop: bool
     has_oriented_cycle: bool
-    has_length2_path: bool
 
 
 def structure_predicates(q: Quiver) -> StructurePredicates:
-    has_loop = any(a.is_loop for a in q.arrows)
-    has_two = any(q.out_arrows(a.target) for a in q.arrows)
-    return StructurePredicates(has_loop, has_oriented_cycle(q), has_two)
+    return StructurePredicates(has_oriented_cycle(q))
 
 
 def has_oriented_cycle(q: Quiver) -> bool:
@@ -334,12 +325,12 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
 
 
 def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:
-    """A witness arrow from the last embedded vertex back into the path, if
-    any: the first by (target, id), which is the order of ``out_arrows``."""
-    last = emb.vertices[-1]
-    inside = set(emb.vertices)
-    for a in q.out_arrows(last):
-        if a.target in inside and a.target != last:
+    """A witness arrow from the last embedded vertex back to an earlier
+    vertex of the line, if any: the first by (target, id), the order of
+    ``out_arrows``."""
+    line = emb.vertices[:-1]
+    for a in q.out_arrows(emb.vertices[-1]):
+        if a.target in line:
             return a
     return None
 
@@ -353,14 +344,11 @@ def find_x_embedding(q: Quiver, m: int) -> Optional[Embedding]:
     if m < 2:
         raise ValueError("m must be >= 2")
     for emb in find_a_embeddings(q, m):
-        last = emb.vertices[-1]
-        pos = {v: k + 1 for k, v in enumerate(emb.vertices[:-1])}
-        returns = [a for a in q.out_arrows(last) if a.target in pos]
-        if not returns:
-            continue
-        best_pos = max(pos[a.target] for a in returns)
-        best = min((a for a in returns if pos[a.target] == best_pos), key=lambda a: a.id)
-        return Embedding(emb.vertices, emb.arrows, best.id, best_pos)
+        pos = {v: k for k, v in enumerate(emb.vertices[:-1], 1)}
+        returns = (a for a in q.out_arrows(emb.vertices[-1]) if a.target in pos)
+        best = min(returns, key=lambda a: (-pos[a.target], a.id), default=None)
+        if best is not None:
+            return Embedding(emb.vertices, emb.arrows, best.id, pos[best.target])
     return None
 
 

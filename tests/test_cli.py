@@ -361,6 +361,69 @@ def test_max_deg_accepts_its_bound(capsys):
     assert len(report["betti"]) == cli.MAX_DEG + 1
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits"
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_resolve_refuses_betti_numbers_past_the_digit_limit(as_json, tmp_path, capsys):
+    # 10 arrows each way between two vertices and every length-2 relation:
+    # the Betti number in degree d is 10^d, which has d + 1 digits.
+    lines = ["quiver 2"] + [f"arrow a{t} 1 2" for t in range(10)]
+    lines += [f"arrow b{t} 2 1" for t in range(10)] + ["relations"]
+    lines += [f"rel {x}{s} {y}{t}" for x, y in ("ab", "ba") for s in range(10) for t in range(10)]
+    path = tmp_path / "ten.qv"
+    path.write_text("\n".join(lines) + "\n")
+    flags = ["--json"] if as_json else []
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least limit Python allows
+    try:
+        argv = ["resolve", str(path), "--module", "S:1", "--max-deg"]
+        assert cli.main(argv + ["640"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree 640 has a Betti number of more than 640 digits, past Python's "
+            "limit for printing an integer; rerun with --max-deg below 640\n"
+        )
+        assert sys.get_int_max_str_digits() == 640
+        assert cli.main(argv + ["639"] + flags) == 0
+        out = capsys.readouterr().out
+        last = json.loads(out)["betti"][-1] if as_json else out.splitlines()[-2]
+        assert last == ({"2": 10**639} if as_json else f"degree 639: P(2)^{10**639}")
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("vertex", [1, 2, 3])
+def test_an_m_spec_prints_what_its_shorthand_prints(vertex, capsys):
+    # P(i) kills nothing, S(i) every out-arrow, Delta(i) those to smaller vertices.
+    outs = qvfile.load(GOLDEN_QV)[0].out_arrows(vertex)
+    down = ",".join(a.id for a in outs if a.target < vertex)
+    pairs = [
+        (f"M:{vertex}:{down}", f"Delta:{vertex}"),
+        (f"M:{vertex}:", f"P:{vertex}"),
+        (f"M:{vertex}:{','.join(a.id for a in outs)}", f"S:{vertex}"),
+    ]
+
+    def run(*argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for spec, shorthand in pairs:
+        for command in ("resolve", "render"):
+            got = run(command, GOLDEN_QV, "--module", spec)
+            assert got[0] == 0 and got == run(command, GOLDEN_QV, "--module", shorthand)
+        reports = []
+        for module in (spec, shorthand):
+            code, out, err = run("resolve", GOLDEN_QV, "--module", module, "--json")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report.pop("module") == module
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 def test_only_the_oracle_commands_load_numpy():
     # A fresh interpreter, since this one may have loaded numpy already.
     script = (

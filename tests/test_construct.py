@@ -106,6 +106,38 @@ def test_gldim2_achievable_cases():
     assert construct.gldim2_achievable(linear_quiver(2)) == (False, None)
 
 
+def test_gldim2_witness_is_the_least_length2_path():
+    """``gldim2_achievable`` against its definition by brute force: no
+    witness on a quiver with a loop or without a length-2 path, else the
+    least length-2 path by ``Path.sort_key`` and the relabeling that moves
+    its middle vertex to n and keeps the others in order."""
+    rng = random.Random(28)
+    seen = {"loop": 0, "none": 0, "witness": 0, "parallel": 0}
+    for trial in range(400):
+        q = random_loopless_quiver(rng, n_max=6)
+        if trial % 4 == 0:
+            v = rng.randint(1, q.n)
+            q = qd.Quiver(q.n, q.arrows + (qd.Arrow(rng.choice(["a", "z"]), v, v),))
+        ends = [(a.source, a.target) for a in q.arrows]
+        seen["parallel"] += len(set(ends)) < len(ends)
+        pairs = [
+            qd.Path(a.source, b.target, (a.id, b.id))
+            for a in q.arrows
+            for b in q.arrows
+            if a.target == b.source
+        ]
+        if any(a.source == a.target for a in q.arrows) or not pairs:
+            seen["loop" if pairs else "none"] += 1
+            assert construct.gldim2_achievable(q) == (False, None)
+            continue
+        seen["witness"] += 1
+        least = sorted(pairs, key=qd.Path.sort_key)[0]
+        middle = q.arrow(least.word[0]).target
+        order = [v for v in q.vertices() if v != middle] + [middle]
+        assert construct.gldim2_achievable(q) == (True, (least, qd.Relabeling(order).inverse()))
+    assert min(seen.values()) > 10, seen
+
+
 def test_achieve_gldim_0_and_1():
     empty = qd.Quiver(2, ())
     res = construct.achieve_gldim(empty, 0)

@@ -3,9 +3,16 @@ import random
 import pytest
 
 import quiverdim as qd
+from quiverdim import oracle
 from quiverdim.quiver import structure_predicates
 
-from conftest import complete_quiver, golden_quiver, linear_quiver, random_loopless_quiver
+from conftest import (
+    complete_quiver,
+    golden_algebra,
+    golden_quiver,
+    linear_quiver,
+    random_loopless_quiver,
+)
 
 
 def test_compose_with_trivial_is_identity():
@@ -278,7 +285,74 @@ def test_relabeling_must_be_bijective():
 
 def test_structure_predicates():
     loop = qd.Quiver(1, (qd.Arrow("a", 1, 1),))
-    assert structure_predicates(loop) == (True, True, True)
+    assert structure_predicates(loop) == (True,)
     a2 = qd.Quiver(2, (qd.Arrow("a", 1, 2),))
-    assert structure_predicates(a2) == (False, False, False)
-    assert structure_predicates(golden_quiver()) == (False, True, True)
+    assert structure_predicates(a2) == (False,)
+    assert structure_predicates(golden_quiver()) == (True,)
+
+
+def test_has_path_refuses_what_path_refuses():
+    q = golden_quiver()  # a: 1->2, b: 2->3, c: 3->1, d: 2->1, e: 3->2, f: 1->3
+    assert q.has_path(qd.Path(1, 3, ("a", "b"))) and q.has_path(qd.Path(1, 3, ["a", "b"]))
+    assert q.has_path(q.trivial_path(3))
+    refused = [
+        qd.Path(1, 2, ("zz",)),  # unknown id
+        qd.Path(1, 1, ("a", "c")),  # a ends at 2, c starts at 3
+        qd.Path(2, 2, ("a",)),  # a starts at 1
+        qd.Path(1, 3, ("a",)),  # a ends at 2
+        qd.Path(0, 0, ()),
+        qd.Path(4, 4, ()),
+        qd.Path(0, 2, ("a",)),
+        qd.Path(4, 2, ("a",)),
+    ]
+    for p in refused:
+        assert not q.has_path(p), p
+
+
+def _golden_simple():
+    algebra = golden_algebra()
+    return algebra, qd.ModuleSpec.simple(algebra.quiver, 1)
+
+
+def _truncated_euler():
+    algebra, spec = _golden_simple()
+    return qd.check_euler_identity(algebra, spec, qd.resolve(algebra, spec, max_deg=0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: qd.Quiver(-1, ()), "vertex count must be nonnegative", id="n"),
+        pytest.param(
+            lambda: qd.Quiver(2, (qd.Arrow("a-b", 1, 2),)),
+            "arrow id 'a-b' is not an ASCII word",
+            id="arrow-id",
+        ),
+        pytest.param(
+            lambda: next(qd.find_a_embeddings(golden_quiver(), 0)), "m must be >= 1", id="line-m"
+        ),
+        pytest.param(lambda: qd.find_x_embedding(golden_quiver(), 1), "m must be >= 2", id="cycle-m"),
+        pytest.param(
+            lambda: qd.relabel(golden_quiver(), qd.Relabeling.identity(4)),
+            "relabeling size does not match quiver",
+            id="relabel",
+        ),
+        pytest.param(lambda: qd.chain_ideal(golden_quiver(), 1), "m must be within 2..3", id="chain-m"),
+        pytest.param(lambda: qd.achieve_gldim(golden_quiver(), -1), "target must be >= 0", id="target"),
+        pytest.param(_truncated_euler, "Euler identity needs a complete resolution", id="euler"),
+        pytest.param(
+            lambda: oracle.minimal_resolution(*_golden_simple(), -1),
+            "max_deg must be >= 0",
+            id="oracle-max-deg",
+        ),
+        pytest.param(
+            lambda: qd.check_strongly_qh(golden_algebra(), qd.Relabeling.identity(2)),
+            "order has 2 vertices, the quiver 3",
+            id="sqh-order",
+        ),
+    ],
+)
+def test_input_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
