@@ -220,7 +220,9 @@ class BasisIndex:
     here, so each is built once per algebra, when first needed:
     ``projective_vectors`` for the Euler check of ``homology``, and
     ``trees``, which ``oracle`` fills with its path tree of a vertex's
-    paths the first time a projective cover needs it.
+    paths the first time a projective cover needs it.  ``syzygies`` is the
+    oracle's memo of resolution steps, one table per prime, keyed by a
+    digest of a representation's matrices (see ``oracle``).
     """
 
     def __init__(self, paths: list[Path]):
@@ -230,6 +232,7 @@ class BasisIndex:
             by_source.setdefault(p.source, []).append(p)
         self.by_source = {v: tuple(ps) for v, ps in by_source.items()}
         self.trees: dict[int, tuple] = {}
+        self.syzygies: dict[int, dict[bytes, object]] = {}
 
     @cached_property
     def projective_vectors(self) -> dict[int, Counter[int]]:

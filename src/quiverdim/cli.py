@@ -246,7 +246,10 @@ def _engine_comparisons(algebra: Algebra, max_deg: int, fields: list[Optional[in
     checked at the call; the modules are resolved lazily, as iterated.
     Labels often name one module twice (Gamma_i = S_i on a line), so each
     distinct spec is resolved once by the chain engine and once per prime
-    by the oracle, and a repeat gets the same objects back."""
+    by the oracle, and a repeat gets the same objects back.  Resolutions
+    meet deeper down too (S_i's syzygy is S_(i+1) on A_n with its 2-paths
+    as relations): the oracle resolves each distinct representation once
+    per prime, in the memo it keeps with the algebra's basis."""
     from . import oracle
 
     q = algebra.quiver

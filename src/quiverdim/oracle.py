@@ -24,7 +24,21 @@ a time, one product per (length, last arrow) over all generators at once.
 Each kernel takes one elimination; its basis is the identity at the free
 columns, which is all that reading coordinates in it needs.  A cover fiber
 whose elimination would need more than ``MAX_ENTRIES`` matrix entries is
-refused before anything is allocated, with ``OracleCapExceeded``.
+refused before anything is allocated, with ``OracleCapExceeded``; so is a
+syzygy whose kernel bases and arrow matrices together would need more than
+``MAX_SYZYGY_ENTRIES``.
+
+Each step of a resolution is resolved once per algebra and prime.  The
+memo, ``BasisIndex.syzygies[p]``, maps the key of a representation, a
+256-bit digest of its dimensions and arrow matrices (``_digest``), to its
+Betti row and the key of its syzygy.  The top and the syzygy are functions
+of the algebra, the prime and those matrices alone, so a step found under a
+key is the step a fresh computation would take; two representations share
+a key only through a hash collision.  Resolutions meet often: on a line
+whose 2-paths are the relations, the syzygy of S(i) is S(i+1), matrix for
+matrix, so every simple after the first costs one new step.  The memo holds
+no representation except the unresolved syzygy at the end of a resolution
+cut at ``max_deg``, from which a later, longer request goes on.
 
 Arithmetic.  Entries are integers in [0, p) held as int64.  A product
 with inner dimension k runs in float64, through BLAS, and is exact while
@@ -39,6 +53,7 @@ no sums.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -66,8 +81,15 @@ MAX_PRIME = 32749
 MAX_ENTRIES = 2**24
 
 
+# The most entries the kernel bases and arrow matrices of one syzygy may
+# hold together (8 bytes an entry: 256 MiB); ``MAX_ENTRIES`` bounds each
+# vertex, not their sum, and many vertices each under it can add up past
+# any memory.
+MAX_SYZYGY_ENTRIES = 2**25
+
+
 class OracleCapExceeded(ValueError):
-    """A cover fiber too large for the oracle to eliminate."""
+    """A cover fiber or a syzygy too large for the oracle to build."""
 
 
 def _require_prime(p: int) -> None:
@@ -290,6 +312,17 @@ def _cover_kernels(
                 f"the oracle's projective cover has {n} basis elements at vertex {w}; "
                 f"eliminating there needs more than {MAX_ENTRIES} matrix entries"
             )
+    # the cover map is onto at every vertex, so the kernel there has
+    # dimension n - rep.dims[w]: its basis and the syzygy's arrows are sized
+    # before they are built
+    kernel = {w: n - rep.dims[w] for w, n in cover_dims.items()}
+    entries = sum(k * cover_dims[w] for w, k in kernel.items())
+    entries += sum(kernel[a.target] * kernel[a.source] for a in q.arrows)
+    if entries > MAX_SYZYGY_ENTRIES:
+        raise OracleCapExceeded(
+            f"the oracle's syzygy needs {entries} matrix entries, "
+            f"more than {MAX_SYZYGY_ENTRIES}"
+        )
     filled = dict.fromkeys(q.vertices(), 0)
     units: list[tuple[int, int, int]] = []  # (vertex, top coordinate, column)
     # (length, last arrow) -> rows of the parents and of the grown paths
@@ -335,19 +368,52 @@ def syzygy(algebra: Algebra, rep: Rep, lifts: dict[int, list[int]]) -> Rep:
     return _sub_rep(*_cover_kernels(algebra, rep, lifts))
 
 
+def _digest(rep: Rep) -> bytes:
+    """The memo key of ``rep``: a BLAKE2b-256 digest of its dimensions in
+    vertex order, then each arrow's id, shape and int64 entries, hashed as
+    they are read."""
+    dims = [rep.dims[v] for v in rep.quiver.vertices()]
+    h = hashlib.blake2b(repr(dims).encode(), digest_size=32)
+    for a in rep.quiver.arrows:
+        m = rep.action[a.id]
+        h.update(f"{a.id}{m.shape}".encode())
+        h.update(np.ascontiguousarray(m, dtype=np.int64))
+    return h.digest()
+
+
+# The step of the zero representation: no Betti row and no syzygy.
+_END: tuple[dict[int, int], None] = ({}, None)
+
+
+def _enter(steps: dict, rep: Rep) -> bytes:
+    """The key of ``rep``, which joins ``steps`` unresolved (the zero
+    representation as ``_END``) unless the key is there already."""
+    key = _digest(rep)
+    steps.setdefault(key, rep if rep.total_dim else _END)
+    return key
+
+
 def minimal_resolution(
     algebra: Algebra, spec: ModuleSpec, max_deg: int, p: int = DEFAULT_PRIME
 ) -> Resolution:
-    """Betti data of a minimal resolution, truncated after ``max_deg``."""
+    """Betti data of a minimal resolution, truncated after ``max_deg``.
+    Each step, a Betti row and the key of the syzygy, comes from the
+    algebra's memo for ``p`` or is resolved once into it."""
     if max_deg < 0:
         raise ValueError("max_deg must be >= 0")
     algebra.require_admissible()
-    current = rep_of(algebra, spec, p)
+    rep = rep_of(algebra, spec, p)  # checks p before the memo has a table for it
+    steps = algebra.basis.syzygies.setdefault(p, {})
+    key = _enter(steps, rep)
     betti: list[dict[int, int]] = []
     for _ in range(max_deg + 1):
-        if current.total_dim == 0:
+        step = steps[key]
+        if isinstance(step, Rep):
+            lifts = _top_lifts(step)
+            row = {v: len(ks) for v, ks in lifts.items() if ks}
+            step = steps[key] = row, _enter(steps, syzygy(algebra, step, lifts))
+        row, key = step
+        if key is None:
             return Resolution(tuple(betti), complete=True)
-        lifts = _top_lifts(current)
-        betti.append({v: len(ks) for v, ks in lifts.items() if ks})
-        current = syzygy(algebra, current, lifts)
-    return Resolution(tuple(betti), complete=current.total_dim == 0)
+        betti.append(row)
+    return Resolution(tuple(betti), complete=steps[key] is _END)

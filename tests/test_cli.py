@@ -219,6 +219,36 @@ def test_an_oversized_oracle_cover_is_an_input_error(monkeypatch, capsys):
     assert err.endswith(f"eliminating there needs more than {largest - 1} matrix entries\n")
 
 
+def test_an_oversized_oracle_syzygy_is_an_input_error(monkeypatch, capsys):
+    # The largest syzygy verify builds on golden.qv, its kernel bases and
+    # arrow matrices counted as built, still passes at a total cap of
+    # exactly its size; one entry less is refused, with no traceback.
+    sizes = []
+    sub_rep = oracle._sub_rep
+
+    def recorded(cover, bases):
+        rep = sub_rep(cover, bases)
+        kernels = sum(basis.size for basis, _ in bases.values())
+        sizes.append(kernels + sum(m.size for m in rep.action.values()))
+        return rep
+
+    monkeypatch.setattr(oracle, "_sub_rep", recorded)
+    want = json.loads((TESTS / "golden" / "golden.json").read_text())["verify --json"]
+    assert cli.main(["verify", GOLDEN_QV, "--json"]) == 0
+    capsys.readouterr()
+    largest = max(sizes)
+    monkeypatch.setattr(oracle, "MAX_SYZYGY_ENTRIES", largest)
+    code = cli.main(["verify", GOLDEN_QV, "--json"])
+    out, err = capsys.readouterr()
+    assert {"exit": code, "stdout": out, "stderr": err} == want
+    monkeypatch.setattr(oracle, "MAX_SYZYGY_ENTRIES", largest - 1)
+    assert cli.main(["verify", GOLDEN_QV, "--json"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the oracle's syzygy needs {largest} matrix entries, more than {largest - 1}\n",
+    )
+
+
 def test_an_oversized_automaton_is_an_input_error(tmp_path, monkeypatch, capsys):
     # the fan of 1 -> 2 (x3), 2 -> 3 (x3) and the relations c_j a0 needs 15
     # transitions: refused past a cap of 14, with no traceback

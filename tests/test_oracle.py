@@ -1,12 +1,14 @@
 import math
+import pathlib
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import quiverdim as qd
-from quiverdim import oracle
+from quiverdim import cli, oracle
 from quiverdim.algebra import ModuleSpec
 
 from conftest import (
@@ -18,6 +20,7 @@ from conftest import (
 )
 
 ALL_SPECS = (ModuleSpec.simple, ModuleSpec.delta, ModuleSpec.gamma)
+GOLDEN_QV = str(pathlib.Path(__file__).parent / "golden" / "golden.qv")
 
 
 def test_rep_dims_match_figures(complete4_algebra):
@@ -217,6 +220,37 @@ def test_an_oversized_cover_is_refused_before_it_is_built(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 10**6  # listing the cover first took 4.6 MB
+
+
+def _broom(arms, sinks):
+    """Arrows a0..a{arms-1}: 1 -> 2, c: 2 -> 3, one arrow from 3 to each of
+    ``sinks`` sinks, and the relations a_t c: the second syzygy of S(1) is
+    ``arms`` copies of P(3), with an arms-square kernel basis and arrow
+    matrix per sink, while no vertex holds more than arms**2 entries."""
+    arrows = [qd.Arrow(f"a{t}", 1, 2) for t in range(arms)] + [qd.Arrow("c", 2, 3)]
+    arrows += [qd.Arrow(f"s{t}", 3, 4 + t) for t in range(sinks)]
+    q = qd.Quiver(3 + sinks, tuple(arrows))
+    return qd.Algebra(q, [q.path(1, (f"a{t}", "c")) for t in range(arms)])
+
+
+def test_an_oversized_syzygy_is_refused_before_it_is_built(monkeypatch):
+    # The broom with 256 arms and 8 sinks: the second syzygy of S(1) needs
+    # 256**2 entries for the kernel basis at vertex 3 and 2 * 256**2 per
+    # sink, 1,114,112 in all (8.9 MB), each vertex far under MAX_ENTRIES.
+    algebra = _broom(256, 8)
+    algebra.basis
+    monkeypatch.setattr(oracle, "MAX_SYZYGY_ENTRIES", 17 * 256**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(oracle.OracleCapExceeded, match="syzygy needs 1114112 matrix entries"):
+            oracle.minimal_resolution(algebra, ModuleSpec.simple(algebra.quiver, 1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    monkeypatch.setattr(oracle, "MAX_SYZYGY_ENTRIES", 17 * 256**2)
+    res = oracle.minimal_resolution(algebra, ModuleSpec.simple(algebra.quiver, 1), 3)
+    assert res.betti == ({1: 1}, {2: 256}, {3: 256}) and res.complete
 
 
 def _rank_by_hand(rows, p):
@@ -527,3 +561,71 @@ def _compare_three_syzygies(algebra, rep, spec):
             assert rep.action[a.id].shape == (rep.dims[a.target], rep.dims[a.source])
         if not rep.total_dim:
             break
+
+
+def test_memoised_resolutions_equal_fresh_ones(monkeypatch):
+    # One shared algebra resolves every module at each max_deg in turn, so
+    # later requests start from the memo: its cut tails, its loops and
+    # steps other modules took.  Each answer must be the one a fresh
+    # algebra gives, and the shared one must have resolved less.
+    calls = Counter()
+    syzygy = oracle.syzygy
+
+    def counted(algebra, rep, lifts):
+        calls[algebra] += 1
+        return syzygy(algebra, rep, lifts)
+
+    monkeypatch.setattr(oracle, "syzygy", counted)
+    rng = random.Random(83)
+    algebras = [one_loop_algebra(3)]
+    while len(algebras) < 13:
+        algebra = _random_monomial_algebra(rng)
+        if algebra is not None and len(algebra.basis) <= 150:
+            algebras.append(algebra)
+    builds = ALL_SPECS + (ModuleSpec.projective,)
+    shared_calls = fresh_calls = 0
+    for shared in algebras:
+        q = shared.quiver
+        specs = [b(q, i) for b in builds for i in q.vertices()]
+        for p in (2, 101):
+            for max_deg in (3, 8, 0, 8):
+                for spec in specs:
+                    fresh = qd.Algebra(q, shared.relations)
+                    want = oracle.minimal_resolution(fresh, spec, max_deg, p)
+                    got = oracle.minimal_resolution(shared, spec, max_deg, p)
+                    assert got == want, (shared.relations, spec, p, max_deg)
+                    fresh_calls += calls.pop(fresh)
+            # the memo keeps a representation only at a cut tail
+            tails = sum(isinstance(s, oracle.Rep) for s in shared.basis.syzygies[p].values())
+            assert tails <= len(specs)
+        shared_calls += calls.pop(shared)
+    assert shared_calls < fresh_calls / 4
+
+
+def _line_file(tmp_path, n):
+    """A_n with every consecutive 2-path a relation."""
+    lines = [f"quiver {n}"] + [f"arrow a{i} {i} {i + 1}" for i in range(1, n)]
+    lines += ["relations"] + [f"rel a{i} a{i + 1}" for i in range(1, n - 1)]
+    path = tmp_path / f"a{n}.qv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name, want", [("A16", 31), ("golden", 10)])
+def test_verify_resolves_each_distinct_representation_once(
+    name, want, tmp_path, monkeypatch, capsys
+):
+    # verify resolves S, Delta and Gamma of every vertex to degree 8: 123
+    # syzygies on A16 and 14 on golden.qv when each starts afresh
+    keys = []
+    syzygy = oracle.syzygy
+
+    def recorded(algebra, rep, lifts):
+        keys.append(oracle._digest(rep))
+        return syzygy(algebra, rep, lifts)
+
+    monkeypatch.setattr(oracle, "syzygy", recorded)
+    path = _line_file(tmp_path, 16) if name == "A16" else GOLDEN_QV
+    assert cli.main(["verify", path]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert len(keys) == len(set(keys)) == want
