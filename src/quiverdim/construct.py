@@ -29,7 +29,6 @@ from .quiver import (
     find_a_embeddings,
     find_cycle,
     find_x_embedding,
-    is_extendable,
     relabeling_from_embedding,
     structure_predicates,
 )
@@ -155,10 +154,7 @@ class PlanResult:
 
 
 def _non_extendable_line(q: Quiver, m: int) -> Optional[Embedding]:
-    for emb in find_a_embeddings(q, m):
-        if is_extendable(q, emb) is None:
-            return emb
-    return None
+    return next(find_a_embeddings(q, m, extendable=False), None)
 
 
 def _arrows_ascending(q: Quiver) -> Relabeling:

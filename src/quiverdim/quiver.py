@@ -257,9 +257,13 @@ class Embedding(NamedTuple):
 SEARCH_BUDGET = 1_000_000  # search nodes per find_a_embeddings call, read at its start
 
 
-def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
+def find_a_embeddings(
+    q: Quiver, m: int, *, extendable: Optional[bool] = None
+) -> Iterator[Embedding]:
     """Yield every simple directed path on m distinct vertices (none, at
-    once, when m exceeds the vertex count).
+    once, when m exceeds the vertex count), or with ``extendable`` set only
+    those whose last vertex has (True) or has not (False) an out-arrow back
+    to an earlier vertex of the line, as ``is_extendable`` decides.
 
     One embedding per choice of vertices AND arrows, in the preorder of the
     search: start vertices ascend, and each vertex's out-arrows are tried
@@ -269,9 +273,14 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
     1-b-2-c-4.  Iterative backtracking over the ``_out`` rows.  A search
     node is a prefix, counted as it is entered, and each is one loop turn:
     of the main loop, or, for a full line, of the loop over its parent's
-    row, which yields each line without stacking it.  Raises
-    SearchBudgetExceeded on entering node ``SEARCH_BUDGET + 1`` (the
-    problem is longest-path-hard in general, instances here are small).
+    row, which yields each line without stacking it.  A line the filter
+    rejects is still a node, counted before the test, so the order, the
+    node count and the node at which the budget runs out do not depend on
+    ``extendable``.  The test looks for the last vertex's out-targets among
+    the vertices before it, so a loop at it is no way back, and a lone
+    vertex (m = 1) is never extendable.  Raises SearchBudgetExceeded on
+    entering node ``SEARCH_BUDGET + 1`` (the problem is longest-path-hard
+    in general, instances here are small).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -281,6 +290,7 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
     out, make, steps, budget = q._out, tuple.__new__, 0, SEARCH_BUDGET
     over = f"embedding search exceeded {budget} nodes"
     seen = [False] * (q.n + 1)  # by vertex: on the current prefix
+    ends = {v: frozenset(t for _, _, t in row) for v, row in out.items()}  # by vertex: out-targets
     for start in q.vertices():
         # vertices[k] is entered by arrows[k] (None at the start); todo[k]
         # holds the out-arrows of vertices[k] not tried yet.
@@ -295,16 +305,18 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
                 todo.append(iter(out[vertices[-1]]))
             else:
                 if depth == m:  # m == 1: the start alone is a line
-                    yield make(Embedding, ((start,), (), None, None))
+                    if not extendable:
+                        yield make(Embedding, ((start,), (), None, None))
                 else:  # each child is a line: enter, yield and leave it here
-                    head, word = tuple(vertices), tuple(arrows[1:])
+                    head = tuple(vertices)
                     for arrow_id, _, target in out[vertices[-1]]:  # (id, source, target)
                         if not seen[target]:
                             steps += 1
                             if steps > budget:
                                 raise SearchBudgetExceeded(over)
-                            line = (head + (target,), word + (arrow_id,), None, None)
-                            yield make(Embedding, line)
+                            if extendable is None or extendable != ends[target].isdisjoint(head):
+                                line = (head + (target,), (*arrows[1:], arrow_id), None, None)
+                                yield make(Embedding, line)
                 seen[vertices.pop()] = False
                 arrows.pop()
             while todo:  # on to the next prefix, stepping back past spent rows
@@ -327,7 +339,8 @@ def find_a_embeddings(q: Quiver, m: int) -> Iterator[Embedding]:
 def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:
     """A witness arrow from the last embedded vertex back to an earlier
     vertex of the line, if any: the first by (target, id), the order of
-    ``out_arrows``."""
+    ``out_arrows``.  The reference that the ``extendable`` filter of
+    ``find_a_embeddings`` is tested against."""
     line = emb.vertices[:-1]
     for a in q.out_arrows(emb.vertices[-1]):
         if a.target in line:
@@ -338,18 +351,19 @@ def is_extendable(q: Quiver, emb: Embedding) -> Optional[Arrow]:
 def find_x_embedding(q: Quiver, m: int) -> Optional[Embedding]:
     """First extendable A_m embedding, completed by a return arrow.
 
-    Among the return arrows of that embedding the one with maximal return
-    index is chosen (ties by arrow id), so the cycle is as short as possible.
+    The search yields only extendable lines, so the first it yields is the
+    answer.  Among its return arrows the one with maximal return index is
+    chosen (ties by arrow id), so the cycle is as short as possible.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    for emb in find_a_embeddings(q, m):
-        pos = {v: k for k, v in enumerate(emb.vertices[:-1], 1)}
-        returns = (a for a in q.out_arrows(emb.vertices[-1]) if a.target in pos)
-        best = min(returns, key=lambda a: (-pos[a.target], a.id), default=None)
-        if best is not None:
-            return Embedding(emb.vertices, emb.arrows, best.id, pos[best.target])
-    return None
+    emb = next(find_a_embeddings(q, m, extendable=True), None)
+    if emb is None:
+        return None
+    pos = {v: k for k, v in enumerate(emb.vertices[:-1], 1)}
+    returns = (a for a in q.out_arrows(emb.vertices[-1]) if a.target in pos)
+    best = min(returns, key=lambda a: (-pos[a.target], a.id))
+    return Embedding(emb.vertices, emb.arrows, best.id, pos[best.target])
 
 
 @dataclass(frozen=True)

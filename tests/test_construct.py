@@ -193,6 +193,22 @@ def test_achieve_gldim_complete6_targets():
         assert max(cert.pdims.values()) == target
 
 
+@pytest.mark.parametrize(
+    "budget, note",
+    [
+        (1955, "non-extendable line on 6 vertices: embedding search exceeded 1955 nodes"),
+        (1956, "no non-extendable line on 6 vertices"),
+    ],
+)
+def test_line_route_counts_every_line_it_rejects(monkeypatch, budget, note):
+    # Every line of K6 on 6 vertices is extendable, so the line route enters
+    # 1,956 nodes, each line among them, and finds none.
+    monkeypatch.setattr(qd.quiver, "SEARCH_BUDGET", budget)
+    res = construct.achieve_gldim(complete_quiver(6), 5)
+    assert res.attempts == (note,)
+    assert res.certificate.kind == construct.CYCLE_CHAIN
+
+
 def test_achieve_gldim_unreachable_reports():
     res = construct.achieve_gldim(linear_quiver(2), 3)
     assert not res.ok

@@ -159,31 +159,63 @@ def test_search_order_is_preorder_by_target_then_id():
     ]
 
 
+def with_loops(rng, q):
+    """``q`` plus a loop at each vertex with probability 1/2, at least one."""
+    at = [v for v in q.vertices() if rng.random() < 0.5] or [q.n]
+    loops = tuple(qd.Arrow(f"z{v}", v, v) for v in at)
+    return qd.Quiver(q.n, q.arrows + loops)
+
+
+def assert_search_matches_brute_force(q, m, monkeypatch):
+    # every filter yields the brute-force lines it keeps, in preorder, and
+    # runs out of budget at the same node
+    prefixes = search_preorder(q, m)
+    lines = [qd.Embedding(vs, arrows) for vs, arrows in prefixes if len(vs) == m]
+    keeps = {
+        None: lambda emb: True,
+        False: lambda emb: qd.is_extendable(q, emb) is None,
+        True: lambda emb: qd.is_extendable(q, emb) is not None,
+    }
+    for extendable, keep in keeps.items():
+        got = list(qd.find_a_embeddings(q, m, extendable=extendable))
+        assert got == list(filter(keep, lines))
+    total = len(prefixes)
+    for budget in sorted({1, 2, 3, 7, total // 2 + 1, total - 1, total} - {0}):
+        monkeypatch.setattr(qd.quiver, "SEARCH_BUDGET", budget)
+        entered = lines[: sum(len(vs) == m for vs, _ in prefixes[:budget])]
+        for extendable, keep in keeps.items():
+            got, raised = [], False
+            try:
+                for emb in qd.find_a_embeddings(q, m, extendable=extendable):
+                    got.append(emb)
+            except qd.SearchBudgetExceeded:
+                raised = True
+            assert raised == (total > budget)
+            assert got == list(filter(keep, entered))
+        monkeypatch.undo()
+
+
 def test_search_matches_brute_force_node_for_node(monkeypatch):
     # the yield order and the node at which the budget runs out are pinned
-    # to the preorder of search_preorder
+    # to the preorder of search_preorder, with and without the filter
     rng = random.Random(29)
-    parallel = 0
+    parallel = extendable = 0
     for _ in range(40):
         q = random_loopless_quiver(rng, n_max=6, r_max=2)
         parallel += any(q.r(a.source, a.target) > 1 for a in q.arrows)
         for m in range(1, q.n + 1):
-            prefixes = search_preorder(q, m)
-            lines = [qd.Embedding(vs, arrows) for vs, arrows in prefixes if len(vs) == m]
-            assert list(qd.find_a_embeddings(q, m)) == lines
-            total = len(prefixes)
-            for budget in sorted({1, 2, 3, 7, total // 2 + 1, total - 1, total} - {0}):
-                monkeypatch.setattr(qd.quiver, "SEARCH_BUDGET", budget)
-                got, raised = [], False
-                try:
-                    for emb in qd.find_a_embeddings(q, m):
-                        got.append(emb)
-                except qd.SearchBudgetExceeded:
-                    raised = True
-                assert raised == (total > budget)
-                assert got == lines[: sum(len(vs) == m for vs, _ in prefixes[:budget])]
-            monkeypatch.undo()
-    assert parallel > 10
+            assert_search_matches_brute_force(q, m, monkeypatch)
+        extendable += any(qd.find_x_embedding(q, m) for m in range(2, q.n + 1))
+    assert parallel > 10 and extendable > 10
+    # a loop is no way back, and a lone vertex is never extendable
+    for _ in range(8):
+        q = with_loops(rng, random_loopless_quiver(rng, n_max=5, r_max=2))
+        for m in range(1, q.n + 1):
+            assert_search_matches_brute_force(q, m, monkeypatch)
+    q = qd.Quiver(2, (qd.Arrow("a", 1, 2), qd.Arrow("b", 2, 2), qd.Arrow("c", 1, 1)))
+    assert list(qd.find_a_embeddings(q, 1, extendable=True)) == []
+    assert [e.vertices for e in qd.find_a_embeddings(q, 1, extendable=False)] == [(1,), (2,)]
+    assert [e.vertices for e in qd.find_a_embeddings(q, 2, extendable=False)] == [(1, 2)]
 
 
 def test_is_extendable_linear_none():
